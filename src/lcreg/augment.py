@@ -23,6 +23,12 @@ Monte-Carlo estimate of the expectation must not exceed it beyond noise;
 `mc_expected_ce` provides that independent check. Gradients flow through the
 latents and the classifier but never through the covariance, which enters as
 a detached constant.
+
+The quadratic term of every (m, j) pair is one tape kernel,
+`Tape.quadratic_penalty`, which the class-wise baseline gathers by label.
+With V_mj = w_j - w_m it computes (lambda / 2) V_mj^T Sigma_m V_mj; its
+backward is G_mj = (lambda / 2) g_mj (Sigma_m + Sigma_m^T) V_mj with
+dw_j = sum_m G_mj - sum_k G_jk.
 """
 
 from __future__ import annotations
@@ -184,17 +190,6 @@ class AugSchedule:
         return min(t / self.total_iters, 1.0) * self.lambda0
 
 
-def quadratic_penalty_rows(tape: Tape, w: Tensor, cov: np.ndarray, lam: float) -> list[Tensor]:
-    """Row m: (lam/2) (w_j - w_m)^T cov[m] (w_j - w_m) for all j; entry m is 0."""
-    rows = []
-    for m in range(cov.shape[0]):
-        wm = tape.take_row(w, m)
-        v = tape.sub_rowvec(w, wm)
-        vs = tape.matmul(v, tape.constant(cov[m]))
-        rows.append(tape.scale(tape.sum_axis(tape.mul(vs, v), axis=1), lam / 2.0))
-    return rows
-
-
 def latent_aug_logits(tape: Tape, latents: Tensor, w: Tensor, b: Tensor,
                       stats: CategoryStats, lam: float) -> Tensor:
     """The difference-form score matrix z, [M, M], diagonal exactly zero."""
@@ -206,8 +201,7 @@ def latent_aug_logits(tape: Tape, latents: Tensor, w: Tensor, b: Tensor,
     if lam < 0:
         raise ValueError("latent_aug_logits: lambda must be >= 0")
     plain = tape.add_rowvec(tape.matmul(latents, tape.transpose(w)), b)
-    penalty = tape.stack_rows(quadratic_penalty_rows(tape, w, stats.cov, lam))
-    aug = tape.add(plain, penalty)
+    aug = tape.add(plain, tape.quadratic_penalty(w, stats.cov, lam))
     return tape.sub_colvec(aug, tape.diag_part(aug))
 
 
@@ -234,8 +228,8 @@ def classwise_augmented_logits(tape: Tape, logits: Tensor, w: Tensor, labels,
         raise ShapeError("classwise_augmented_logits: logits/labels mismatch")
     if logits.shape[1] != stats.num_categories:
         raise ShapeError("classwise_augmented_logits: class count mismatch")
-    penalty_full = tape.stack_rows(quadratic_penalty_rows(tape, w, stats.cov, lam))
-    return tape.add(logits, tape.take_rows(penalty_full, labels))
+    penalty = tape.quadratic_penalty(w, stats.cov, lam)
+    return tape.add(logits, tape.take_rows(penalty, labels))
 
 
 def psd_factor(cov: np.ndarray, tolerance: float = 1e-8) -> np.ndarray:

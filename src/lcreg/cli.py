@@ -174,6 +174,30 @@ def _load_cached_data(task: TaskSpec, seed: int):
     return load_dataset(root / "train"), load_dataset(root / "test")
 
 
+def _read_run_record(path: Path) -> dict:
+    """The JSON object at ``path``; empty when absent or unreadable (warned),
+    so the run is redone and the file overwritten."""
+    if not path.exists():
+        return {}
+    try:
+        record = json.loads(path.read_text())
+    except (OSError, ValueError):
+        record = None
+    if isinstance(record, dict):
+        return record
+    print(f"warning: {path} is not a readable JSON object; rerunning", file=sys.stderr)
+    return {}
+
+
+def _load_params(path: Path, task: TaskSpec, cfg: TrainConfig):
+    """Parameters from a checkpoint; None after one stderr line if it cannot be read."""
+    try:
+        return load_model(path, model_config(cfg, task))[0]
+    except (OSError, ValueError) as e:
+        print(f"cannot load checkpoint {path}: {e}", file=sys.stderr)
+        return None
+
+
 def cmd_train(args) -> int:
     task, cfg = load_settings(args.config, args.set, args.seed)
     out = Path(args.out)
@@ -183,11 +207,10 @@ def cmd_train(args) -> int:
 
     results_path = out / "results.json"
     want_hash = config_hash(cfg, task)
-    if results_path.exists():
-        existing = json.loads(results_path.read_text())
-        if existing.get("config_hash") == want_hash and not existing.get("diverged"):
-            print(f"results up to date for config {want_hash}; skipping")
-            return 0
+    existing = _read_run_record(results_path)
+    if existing.get("config_hash") == want_hash and not existing.get("diverged"):
+        print(f"results up to date for config {want_hash}; skipping")
+        return 0
 
     datasets = None
     if args.from_cache:
@@ -240,11 +263,9 @@ def _train_ablation(args, task: TaskSpec, cfg: TrainConfig, out: Path) -> int:
         return 2
     path = out / "ablation.json"
     want = _ablation_hash(cfg, task, seeds)
-    if path.exists():
-        existing = json.loads(path.read_text())
-        if existing.get("ablation_hash") == want:
-            print(f"ablation up to date for config {want}; skipping")
-            return 0
+    if _read_run_record(path).get("ablation_hash") == want:
+        print(f"ablation up to date for config {want}; skipping")
+        return 0
     grid = run_ablation(cfg, task, seeds)
     payload = {
         "ablation_hash": want,
@@ -260,11 +281,9 @@ def _train_ablation(args, task: TaskSpec, cfg: TrainConfig, out: Path) -> int:
 
 def cmd_eval(args) -> int:
     task, cfg = load_settings(args.config, args.set, args.seed)
-    model_path = Path(args.model)
-    if not model_path.exists():
-        print(f"checkpoint not found: {model_path}", file=sys.stderr)
+    params = _load_params(Path(args.model), task, cfg)
+    if params is None:
         return 1
-    params, _, _ = load_model(model_path, model_config(cfg, task))
     train, test = make_task_data(task, cfg.seed)
     report = evaluate(params, test, train.counts)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -336,7 +355,9 @@ def _report_ablation(payload: dict) -> str:
 
 
 def _latent_usage_csv(args, task: TaskSpec, cfg: TrainConfig, path: Path) -> int:
-    params, _, _ = load_model(Path(args.model), model_config(cfg, task))
+    params = _load_params(Path(args.model), task, cfg)
+    if params is None:
+        return 1
     if not params.config.latent_on:
         print("checkpoint has no latent branch; nothing to export", file=sys.stderr)
         return 1

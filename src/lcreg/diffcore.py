@@ -75,12 +75,8 @@ def _tanh_grad(y: np.ndarray) -> np.ndarray:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _smoothed_targets(n: int, c: int, targets: np.ndarray, smoothing: float) -> np.ndarray:
@@ -290,17 +286,6 @@ class Tape:
 
         return self._record(out, (a, v), bwd)
 
-    def sub_rowvec(self, a: Tensor, v: Tensor) -> Tensor:
-        """a[n,m] - v[m] broadcast across rows."""
-        if a.data.ndim != 2 or v.data.ndim != 1 or v.shape[0] != a.shape[1]:
-            raise ShapeError(f"sub_rowvec: shapes {a.shape} and {v.shape}")
-        out = Tensor(a.data - v.data[None, :])
-
-        def bwd(g):
-            return g, -g.sum(axis=0)
-
-        return self._record(out, (a, v), bwd)
-
     def sub_colvec(self, a: Tensor, v: Tensor) -> Tensor:
         """a[n,m] - v[n] broadcast across columns."""
         if a.data.ndim != 2 or v.data.ndim != 1 or v.shape[0] != a.shape[0]:
@@ -311,18 +296,6 @@ class Tape:
             return g, -g.sum(axis=1)
 
         return self._record(out, (a, v), bwd)
-
-    def take_row(self, a: Tensor, i: int) -> Tensor:
-        if a.data.ndim != 2 or not 0 <= i < a.shape[0]:
-            raise ShapeError(f"take_row: row {i} of shape {a.shape}")
-        out = Tensor(a.data[i])
-
-        def bwd(g):
-            buf = np.zeros_like(a.data)
-            buf[i] = g
-            return (buf,)
-
-        return self._record(out, (a,), bwd)
 
     def take_rows(self, a: Tensor, idx) -> Tensor:
         idx = np.asarray(idx, dtype=np.int64)
@@ -353,19 +326,26 @@ class Tape:
 
         return self._record(out, (a,), bwd)
 
-    def stack_rows(self, rows: list[Tensor]) -> Tensor:
-        if not rows:
-            raise ShapeError("stack_rows: empty input")
-        width = rows[0].data.reshape(-1).shape[0]
-        for r in rows:
-            if r.data.ndim != 1 or r.shape[0] != width:
-                raise ShapeError("stack_rows: all rows must be 1-d of equal length")
-        out = Tensor(np.stack([r.data for r in rows], axis=0))
+    def quadratic_penalty(self, w: Tensor, cov, lam: float) -> Tensor:
+        """All-pairs penalty of w [M, D] under a detached cov [M, D, D].
+
+        With V[m, j] = w_j - w_m (so q[m, m] is exactly 0):
+            forward   q[m, j] = (lam/2) V[m, j] cov[m] V[m, j]^T
+            backward  G[m, j] = (lam/2) g[m, j] V[m, j] (cov[m] + cov[m]^T)
+                      dw      = sum over m of G[m, :] - sum over j of G[:, j]
+        """
+        cov = np.asarray(cov, dtype=np.float64)
+        if w.data.ndim != 2 or cov.shape != (w.shape[0], w.shape[1], w.shape[1]):
+            raise ShapeError(f"quadratic_penalty: weights {w.shape} with cov {cov.shape}")
+        half = float(lam) / 2.0
+        v = w.data[None, :, :] - w.data[:, None, :]
+        out = Tensor(np.einsum("mjd,mjd->mj", np.matmul(v, cov), v) * half)
 
         def bwd(g):
-            return tuple(g[i] for i in range(len(rows)))
+            gv = (g * half)[:, :, None] * np.matmul(v, cov + cov.transpose(0, 2, 1))
+            return (gv.sum(axis=0) - gv.sum(axis=1),)
 
-        return self._record(out, tuple(rows), bwd)
+        return self._record(out, (w,), bwd)
 
     def diag_part(self, a: Tensor) -> Tensor:
         if a.data.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -401,14 +381,6 @@ class Tape:
             return g[:na], g[na:]
 
         return self._record(out, (a, b), bwd)
-
-    def sum_axis(self, a: Tensor, axis: int) -> Tensor:
-        out = Tensor(a.data.sum(axis=axis))
-
-        def bwd(g):
-            return (np.repeat(np.expand_dims(g, axis), a.data.shape[axis], axis=axis),)
-
-        return self._record(out, (a,), bwd)
 
     def sum_all(self, a: Tensor) -> Tensor:
         out = Tensor(a.data.sum())
@@ -575,16 +547,15 @@ def standard_kernel_checks(instances: int = 10, seed: int = 0) -> list[GradCheck
         lambda: [rand(4, 5), rand(3, 4), rand(3)],
     )
     run("add_rowvec", lambda t, a, v: t.add_rowvec(a, v), lambda: [rand(3, 4), rand(4)])
-    run("sub_rowvec", lambda t, a, v: t.sub_rowvec(a, v), lambda: [rand(3, 4), rand(4)])
     run("sub_colvec", lambda t, a, v: t.sub_colvec(a, v), lambda: [rand(3, 4), rand(3)])
-    run("take_row", lambda t, a: t.take_row(a, 1), lambda: [rand(3, 4)])
     run("take_rows", lambda t, a: t.take_rows(a, [2, 0, 2]), lambda: [rand(3, 4)])
     idx = np.arange(12).reshape(3, 4) % 11
     run("take_flat", lambda t, a: t.take_flat(a, idx), lambda: [rand(11)])
+    cov = rand(4, 3, 3)  # deliberately non-symmetric
     run(
-        "stack_rows",
-        lambda t, a, b, c: t.stack_rows([a, b, c]),
-        lambda: [rand(4), rand(4), rand(4)],
+        "quadratic_penalty",
+        lambda t, w: t.quadratic_penalty(w, cov, 0.8),
+        lambda: [rand(4, 3)],
     )
     run("diag_part", lambda t, a: t.diag_part(a), lambda: [rand(4, 4)])
     run("col_block", lambda t, a: t.col_block(a, 1, 2), lambda: [rand(3, 5)])
@@ -593,8 +564,6 @@ def standard_kernel_checks(instances: int = 10, seed: int = 0) -> list[GradCheck
         lambda t, a, b: t.concat_rows(a, b),
         lambda: [rand(2, 4), rand(3, 4)],
     )
-    run("sum_axis0", lambda t, a: t.sum_axis(a, 0), lambda: [rand(3, 4)])
-    run("sum_axis1", lambda t, a: t.sum_axis(a, 1), lambda: [rand(3, 4)])
     run("sum_all", lambda t, a: t.sum_all(a), lambda: [rand(3, 4)])
     run("mean_all", lambda t, a: t.mean_all(a), lambda: [rand(3, 4)])
     run(

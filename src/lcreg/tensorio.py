@@ -12,6 +12,7 @@ Layout (all integers little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -43,41 +44,41 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, int] | No
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, int]]:
-    blob = Path(path).read_bytes()
+    """Read a container; a short, cut or malformed file raises ValueError."""
+    blob = memoryview(Path(path).read_bytes())
     if blob[:4] != MAGIC:
         raise ValueError(f"load_tensors: bad magic in {path}")
     off = 4
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
+
+    def take(size: int) -> memoryview:
+        nonlocal off
+        if off + size > len(blob):
+            raise ValueError(f"load_tensors: {path} is truncated "
+                             f"({len(blob)} bytes, needs at least {off + size})")
+        off += size
+        return blob[off - size:off]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    (version,) = unpack("<I")
     if version != VERSION:
         raise ValueError(f"load_tensors: unsupported version {version}")
-    (n_meta,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (n_meta,) = unpack("<I")
     meta: dict[str, int] = {}
     for _ in range(n_meta):
-        (klen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        key = blob[off:off + klen].decode()
-        off += klen
-        (val,) = struct.unpack_from("<q", blob, off)
-        off += 8
-        meta[key] = val
-    (n_tens,) = struct.unpack_from("<I", blob, off)
-    off += 4
+        (klen,) = unpack("<H")
+        key = bytes(take(klen)).decode()
+        (meta[key],) = unpack("<q")
+    (n_tens,) = unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tens):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + nlen].decode()
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        dims = struct.unpack_from(f"<{ndim}I", blob, off) if ndim else ()
-        off += 4 * ndim
-        count = int(np.prod(dims)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).copy()
-        off += 8 * count
-        tensors[name] = arr.reshape(dims) if ndim else arr.reshape(())
+        (nlen,) = unpack("<H")
+        name = bytes(take(nlen)).decode()
+        (ndim,) = unpack("<B")
+        dims = unpack(f"<{ndim}I")
+        payload = take(8 * math.prod(dims))
+        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
     if off != len(blob):
         raise ValueError("load_tensors: trailing bytes in container")
     return tensors, meta

@@ -178,6 +178,25 @@ def test_z_diagonal_exactly_zero():
     assert np.all(np.diagonal(z.data) == 0.0)
 
 
+def test_latent_aug_logits_matches_numpy_loop():
+    rng = np.random.default_rng(11)
+    m, d, lam = 7, 5, 0.8
+    latents, w, b = rng.standard_normal((m, d)), rng.standard_normal((m, d)), rng.standard_normal(m)
+    cov = rng.standard_normal((m, d, d))  # not symmetric: the kernel must not assume it
+    stats = CategoryStats(np.full(m, 3), np.zeros((m, d)), cov)
+    tape = Tape()
+    z = latent_aug_logits(
+        tape, tape.constant(latents), tape.constant(w), tape.constant(b), stats, lam
+    ).data
+    expect = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            diff = w[j] - w[i]
+            expect[i, j] = diff @ latents[i] + b[j] - b[i] + 0.5 * lam * diff @ cov[i] @ diff
+    assert np.abs(z - expect).max() <= 1e-12
+    assert np.all(np.diagonal(z) == 0.0)
+
+
 def test_lambda_zero_equals_plain_cross_entropy():
     rng = np.random.default_rng(5)
     m, d = 4, 6

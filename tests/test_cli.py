@@ -173,6 +173,15 @@ class TestTrain:
         b = json.loads((out_b / "results.json").read_text())
         assert a["metrics"] == b["metrics"]
 
+    def test_corrupt_results_file_is_rerun(self, tmp_path, config_file, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "results.json").write_text('{"config_hash": ')
+        assert main(["train", "--config", config_file, "--out", str(out)]) == 0
+        assert "not a readable JSON object" in capsys.readouterr().err
+        record = json.loads((out / "results.json").read_text())
+        assert not record["diverged"]
+
     def test_divergence_exit_code(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
         code = main(["train", "--config", config_file, "--out", str(out),
@@ -198,6 +207,16 @@ class TestAblate:
         assert main(args) == 0
         assert "skipping" in capsys.readouterr().out
 
+    def test_corrupt_ablation_file_is_rerun(self, tmp_path, config_file, capsys):
+        out = tmp_path / "grid"
+        out.mkdir()
+        (out / "ablation.json").write_text("[]")
+        assert main(["train", "--config", config_file, "--out", str(out),
+                     "--ablate", "--seeds", "0",
+                     "--set", "train.t1_iters=10", "--set", "train.t2_iters=2"]) == 0
+        assert "not a readable JSON object" in capsys.readouterr().err
+        assert json.loads((out / "ablation.json").read_text())["seeds"] == [0]
+
     def test_bad_seeds_is_usage_error(self, tmp_path, config_file):
         assert main(["train", "--config", config_file, "--out", str(tmp_path),
                      "--ablate", "--seeds", "0,x"]) == 2
@@ -221,6 +240,22 @@ class TestEval:
         assert main(["eval", "--config", config_file,
                      "--model", str(tmp_path / "no.lct")]) == 1
 
+    def test_truncated_checkpoint_fails_cleanly(self, tmp_path, config_file, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out)]) == 0
+        blob = (out / "model.lct").read_bytes()
+        assert len(blob) > 3000
+        for size in (3000, 10):
+            cut = tmp_path / f"cut{size}.lct"
+            cut.write_bytes(blob[:size])
+            capsys.readouterr()
+            assert main(["eval", "--config", config_file, "--model", str(cut)]) == 1
+            assert main(["report", "--config", config_file, "--model", str(cut),
+                         "--histogram-csv", str(tmp_path / "u.csv")]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2 and all("truncated" in line for line in err)
+            assert not (tmp_path / "u.csv").exists()
+
 
 class TestGradcheck:
     def test_passes_and_prints_every_kernel(self, capsys):
@@ -228,6 +263,7 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "end_to_end_total_loss" in out
         assert "cross_entropy" in out
+        assert "quadratic_penalty" in out
         assert "FAIL" not in out
 
     def test_broken_derivative_fails(self, capsys, monkeypatch):

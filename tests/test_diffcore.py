@@ -47,6 +47,20 @@ def test_sigmoid_extreme_inputs_finite():
     assert np.isfinite(y.data).all()
 
 
+def test_sigmoid_matches_masked_formula_bitwise():
+    # reference: the two-branch masked evaluation, computed independently
+    x = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 1000.0, -1000.0,
+                  1e-300, -1e-300, 0.5, -0.5, 36.7, -36.7])
+    x = np.concatenate([x, np.random.default_rng(0).standard_normal(400) * 30.0])
+    ref = np.empty_like(x)
+    pos = x >= 0
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    ref[~pos] = ex / (1.0 + ex)
+    got = Tape().sigmoid(Tensor(x)).data
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 def test_softmax_uniform_rows():
     tape = Tape()
     out = tape.softmax(tape.constant(np.zeros((2, 4))), axis=1)
@@ -142,6 +156,14 @@ def test_stop_gradient_blocks_backward():
     loss = tape.sum_all(tape.mul(cut, cut))
     tape.backward(loss)
     assert np.all(p.grad.data == 0.0)
+
+
+def test_quadratic_penalty_rejects_mismatched_cov():
+    tape = Tape()
+    w = tape.constant(np.zeros((3, 2)))
+    for shape in ((3, 2), (2, 2, 2), (3, 3, 3), (3, 2, 3)):
+        with pytest.raises(ShapeError):
+            tape.quadratic_penalty(w, np.zeros(shape), 1.0)
 
 
 def test_backward_requires_scalar():
