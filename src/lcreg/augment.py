@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensorio
 from .diffcore import ShapeError, Tape, Tensor
 
 
@@ -155,23 +154,6 @@ def merge_stats(a: CategoryStats, b: CategoryStats) -> CategoryStats:
             int(a.count[m]), a.mean[m], a.cov[m], int(b.count[m]), b.mean[m], b.cov[m]
         )
     return CategoryStats(count, mean, cov)
-
-
-def save_stats(path, stats: CategoryStats):
-    tensorio.save_tensors(path, {
-        "stats.count": stats.count.astype(np.float64),
-        "stats.mean": stats.mean,
-        "stats.cov": stats.cov,
-    })
-
-
-def load_stats(path) -> CategoryStats:
-    tensors, _ = tensorio.load_tensors(path)
-    return CategoryStats(
-        count=tensors["stats.count"].astype(np.int64),
-        mean=tensors["stats.mean"],
-        cov=tensors["stats.cov"],
-    )
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,10 @@ import numpy as np
 from .augment import init_stats, update_stats
 from .data import dataset_cache_dir, load_dataset, save_dataset
 from .diffcore import Tape, standard_kernel_checks
-from .latent import similarity_maps
 from .model import (
     ModelConfig,
-    encode,
     end_to_end_grad_check,
+    forward,
     image_encoder,
     init_model,
     load_model,
@@ -50,6 +49,7 @@ from .trainer import (
     run_ablation,
     run_training,
 )
+from .tensorio import atomic_write
 
 DEFAULT_ABLATION_SEEDS = (0, 1, 2, 3, 4)
 
@@ -219,8 +219,9 @@ def cmd_train(args) -> int:
             return 1
     result = run_training(cfg, task, datasets=datasets)
     record = make_run_record(cfg, task, result)
-    results_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    with open(out / "history.jsonl", "w") as fh:
+    with atomic_write(results_path, "w") as fh:
+        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    with atomic_write(out / "history.jsonl", "w") as fh:
         for i, it in enumerate(result.history["iters"]):
             fh.write(json.dumps({
                 "stage": 1, "iter": it,
@@ -274,7 +275,8 @@ def _train_ablation(args, task: TaskSpec, cfg: TrainConfig, out: Path) -> int:
         "rows": grid["rows"],
         "summary": grid["summary"],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(json.dumps(grid["summary"], indent=2, sort_keys=True))
     return 0
 
@@ -369,10 +371,8 @@ def _latent_usage_csv(args, task: TaskSpec, cfg: TrainConfig, path: Path) -> int
     for start in range(0, len(test.labels), chunk):
         xb = test.samples[start:start + chunk]
         yb = test.labels[start:start + chunk]
-        tape = Tape()
-        f, p = encode(tape, params, xb)
-        sims = similarity_maps(tape, params.pool, f)
-        per_sample = tape.mean_pool_segments(sims.normalized, p).data  # [M, B]
+        fwd = forward(Tape(), params, xb)
+        per_sample = Tape().mean_pool_segments(fwd.sims.normalized, fwd.positions).data
         np.add.at(sums, yb, per_sample.T)
         np.add.at(counts, yb, 1.0)
     usage = sums / counts[:, None]
@@ -399,7 +399,14 @@ def cmd_report(args) -> int:
     if not path.exists():
         print(f"results file not found: {path}", file=sys.stderr)
         return 1
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError) as e:
+        print(f"cannot read results file {path}: {e}", file=sys.stderr)
+        return 1
+    if not isinstance(payload, dict):
+        print(f"results file {path} does not hold a JSON object", file=sys.stderr)
+        return 1
     if "rows" in payload:
         print(_report_ablation(payload))
     else:

@@ -1,9 +1,9 @@
 """Long-tailed dataset construction: profiles, synthesis, sampling, storage.
 
 A profile is the per-class sample count vector. A dataset is samples plus
-labels grouped by class, synthesized from a Gaussian mixture or subsampled
-from a balanced corpus. Class splits (many/medium/few) are decided by the
-training counts. Samplers are infinite, seeded index streams.
+labels grouped by class, synthesized from a Gaussian mixture. Class splits
+(many/medium/few) are decided by the training counts. Samplers are infinite,
+seeded index streams.
 
 On-disk corpus layout (one directory per dataset):
     meta.json    {"format": "lcreg-corpus-v1", "num_classes": C,
@@ -159,24 +159,6 @@ def synthesize_mixture(spec: MixtureSpec, counts, seed: int | None = None) -> Lo
         xs.append(spec.means[c] + spec.stdev * noise)
         ys.append(np.full(int(n), c, dtype=np.int64))
     return LongTailDataset(np.concatenate(xs), np.concatenate(ys), counts, draw_seed)
-
-
-def subsample_corpus(corpus: LongTailDataset, counts, seed: int) -> LongTailDataset:
-    """Deterministic per-class uniform subsample without replacement."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if len(counts) != corpus.num_classes:
-        raise ValueError("subsample_corpus: counts length != corpus classes")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 37]))
-    keep = []
-    for c, n in enumerate(counts):
-        pool = np.where(corpus.labels == c)[0]
-        if len(pool) < n:
-            raise ValueError(
-                f"subsample_corpus: class {c} has {len(pool)} samples, need {int(n)}"
-            )
-        keep.append(np.sort(rng.choice(pool, size=int(n), replace=False)))
-    keep = np.concatenate(keep) if keep else np.array([], dtype=np.int64)
-    return LongTailDataset(corpus.samples[keep], corpus.labels[keep], counts, int(seed))
 
 
 def batch_stream(dataset: LongTailDataset, mode: str, batch_size: int, seed: int):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensorio
 from .diffcore import Parameter, ShapeError, Tape, Tensor
 
 
@@ -75,27 +74,17 @@ class SimilarityStack:
     encoded: Tensor     # [M, D] encoded latents, reused by reconstruction
 
 
-def _pool_nodes(tape: Tape, pool: LatentPool, detach_pool: bool):
-    if detach_pool:
-        f = tape.constant(pool.features.value.data.copy())
-        w = tape.constant(pool.enc_w.value.data.copy())
-        b = tape.constant(pool.enc_b.value.data.copy())
-        return f, w, b
-    return tape.use(pool.features), tape.use(pool.enc_w), tape.use(pool.enc_b)
-
-
-def encoded_latents(tape: Tape, pool: LatentPool, detach_pool: bool = False) -> Tensor:
+def encoded_latents(tape: Tape, pool: LatentPool) -> Tensor:
     """Encoding map applied to every latent row: [M, D]."""
-    f, w, b = _pool_nodes(tape, pool, detach_pool)
+    f, w, b = tape.use(pool.features), tape.use(pool.enc_w), tape.use(pool.enc_b)
     return tape.add_rowvec(tape.matmul(f, tape.transpose(w)), b)
 
 
-def similarity_maps(tape: Tape, pool: LatentPool, f: Tensor,
-                    detach_pool: bool = False) -> SimilarityStack:
+def similarity_maps(tape: Tape, pool: LatentPool, f: Tensor) -> SimilarityStack:
     """Sigmoid scores of encoded latents against f, then softmax over latents."""
     if f.data.ndim != 2 or f.shape[0] != pool.dim:
         raise ShapeError(f"similarity_maps: f shape {f.shape}, pool dim {pool.dim}")
-    enc = encoded_latents(tape, pool, detach_pool)
+    enc = encoded_latents(tape, pool)
     raw = tape.sigmoid(tape.matmul(enc, f))
     normalized = tape.softmax(raw, axis=0)
     return SimilarityStack(raw=raw, normalized=normalized, encoded=enc)
@@ -109,20 +98,18 @@ class Reconstruction:
 
 
 def reconstruct(tape: Tape, sims: SimilarityStack, f: Tensor,
-                positions_per_sample: int | None = None,
-                with_corr: bool = True) -> Reconstruction:
+                positions_per_sample: int | None = None) -> Reconstruction:
     """f_hat = encoded^T @ normalized; correlation is built per sample block."""
     f_hat = tape.matmul(tape.transpose(sims.encoded), sims.normalized)
+    total = f.shape[1]
+    p = total if positions_per_sample is None else int(positions_per_sample)
+    if p < 1 or total % p != 0:
+        raise ShapeError(f"reconstruct: {total} columns with block {p}")
     corr: list[Tensor] = []
-    if with_corr:
-        total = f.shape[1]
-        p = total if positions_per_sample is None else int(positions_per_sample)
-        if p < 1 or total % p != 0:
-            raise ShapeError(f"reconstruct: {total} columns with block {p}")
-        for start in range(0, total, p):
-            fh = tape.col_block(f_hat, start, p) if total != p else f_hat
-            fb = tape.col_block(f, start, p) if total != p else f
-            corr.append(tape.matmul(tape.transpose(fh), fb))
+    for start in range(0, total, p):
+        fh = tape.col_block(f_hat, start, p) if total != p else f_hat
+        fb = tape.col_block(f, start, p) if total != p else f
+        corr.append(tape.matmul(tape.transpose(fh), fb))
     return Reconstruction(f_hat=f_hat, corr=corr)
 
 
@@ -145,19 +132,3 @@ def fuse_for_decoder(tape: Tape, f: Tensor, sims: SimilarityStack) -> Tensor:
         raise ShapeError("fuse_for_decoder: position count mismatch")
     return tape.concat_rows(f, sims.normalized)
 
-
-def save_pool(path, pool: LatentPool):
-    tensorio.save_tensors(path, {
-        "pool.features": pool.features.value.data,
-        "pool.enc_w": pool.enc_w.value.data,
-        "pool.enc_b": pool.enc_b.value.data,
-    })
-
-
-def load_pool(path) -> LatentPool:
-    tensors, _ = tensorio.load_tensors(path)
-    return LatentPool(
-        features=Parameter(tensors["pool.features"], "pool.features"),
-        enc_w=Parameter(tensors["pool.enc_w"], "pool.enc_w"),
-        enc_b=Parameter(tensors["pool.enc_b"], "pool.enc_b"),
-    )

@@ -8,7 +8,7 @@ features, globally average-pooled per sample, and classified by a linear
 decoder. Batches are carried as stacked position columns [D, B*P].
 
 The training objective combines three terms:
-    total = alpha * latent augmentation + beta * reconstruction + gamma * cls
+    total = gamma * cls + alpha * reconstruction + beta * latent augmentation
 
 where the augmentation term scores the latent vectors themselves under a
 separate linear pseudo-classifier with identity labels.
@@ -108,7 +108,6 @@ class ModelConfig:
     num_classes: int
     num_latents: int
     latent_on: bool = True
-    stop_cls_grad_to_pool: bool = False
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -276,6 +275,13 @@ def encode(tape: Tape, params: ModelParams, x_batch: np.ndarray) -> tuple[Tensor
     return f, height * width
 
 
+def decode(tape: Tape, params: ModelParams, pooled: Tensor) -> Tensor:
+    """Linear decoder on pooled channels [fused, B]: logits [B, C]."""
+    return tape.transpose(
+        tape.linear_map_1x1(pooled, tape.use(params.dec_w), tape.use(params.dec_b))
+    )
+
+
 @dataclass
 class ForwardOut:
     logits: Tensor                      # [B, C]
@@ -295,26 +301,19 @@ def forward(tape: Tape, params: ModelParams, x_batch: np.ndarray,
         sims = similarity_maps(tape, params.pool, f)
         if with_recon_corr and p > 1:
             recon = reconstruct(tape, sims, f, positions_per_sample=p)
-        if cfg.stop_cls_grad_to_pool:
-            fuse_sims = similarity_maps(tape, params.pool, f, detach_pool=True)
-        else:
-            fuse_sims = sims
-        fused = fuse_for_decoder(tape, f, fuse_sims)
+        fused = fuse_for_decoder(tape, f, sims)
     else:
         fused = f
     pooled = tape.mean_pool_segments(fused, p)
-    logits = tape.transpose(
-        tape.linear_map_1x1(pooled, tape.use(params.dec_w), tape.use(params.dec_b))
-    )
-    return ForwardOut(logits=logits, features=f, pooled=pooled, positions=p,
-                      sims=sims, recon=recon)
+    return ForwardOut(logits=decode(tape, params, pooled), features=f, pooled=pooled,
+                      positions=p, sims=sims, recon=recon)
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    alpha: float = 0.1
-    beta: float = 0.1
-    gamma: float = 1.0
+    alpha: float = 0.1   # reconstruction
+    beta: float = 0.1    # latent augmentation
+    gamma: float = 1.0   # classification
 
 
 @dataclass(frozen=True)
@@ -349,10 +348,10 @@ def total_loss(tape: Tape, params: ModelParams, x_batch: np.ndarray, labels,
     loss = tape.scale(cls, weights.gamma)
 
     recon_value = 0.0
-    if want_corr and fwd.recon is not None and fwd.recon.corr:
+    if fwd.recon is not None:
         recon_term = reconstruction_loss(tape, fwd.recon)
         recon_value = recon_term.item()
-        loss = tape.add(loss, tape.scale(recon_term, weights.beta))
+        loss = tape.add(loss, tape.scale(recon_term, weights.alpha))
 
     aug_value = 0.0
     if aug_on and cfg.latent_on:
@@ -367,7 +366,7 @@ def total_loss(tape: Tape, params: ModelParams, x_batch: np.ndarray, labels,
             lam,
         )
         aug_value = aug_term.item()
-        loss = tape.add(loss, tape.scale(aug_term, weights.alpha))
+        loss = tape.add(loss, tape.scale(aug_term, weights.beta))
 
     breakdown = LossBreakdown(
         total=loss.item(),
@@ -459,6 +458,9 @@ def load_model(path, cfg: ModelConfig):
         p.value.data[...] = tensors[p.id]
     stats = None
     if meta.get("has_stats"):
+        for name in ("stats.count", "stats.mean", "stats.cov"):
+            if name not in tensors:
+                raise ValueError(f"load_model: checkpoint missing tensor {name}")
         stats = CategoryStats(
             count=tensors["stats.count"].astype(np.int64),
             mean=tensors["stats.mean"],

@@ -13,13 +13,33 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"LCT1"
 VERSION = 1
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Open a temporary file next to ``path`` for writing; on a clean exit it
+    replaces ``path`` in one rename, on an exception it is removed and
+    ``path`` is left as it was."""
+    # plain string paths: pathlib costs more than the write itself on a
+    # checkpoint of tens of kB
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, int] | None = None) -> Path:
@@ -39,7 +59,8 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, int] | No
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
         parts.append(arr.astype("<f8").tobytes())
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"".join(parts))
+    with atomic_write(path) as fh:
+        fh.write(b"".join(parts))
     return path
 
 

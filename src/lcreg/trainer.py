@@ -35,13 +35,12 @@ from .data import (
     synthesize_mixture,
 )
 from .diffcore import Tape
-from .latent import fuse_for_decoder, similarity_maps
 from .model import (
     LossBreakdown,
     LossWeights,
     ModelConfig,
     ModelParams,
-    encode,
+    decode,
     forward,
     init_model,
     total_loss,
@@ -95,10 +94,8 @@ class TrainConfig:
     recon_on: bool = True
     aug_on: bool = True
     raw_isda: bool = False
-    stop_cls_grad_to_pool: bool = False
     stage2_lr: float = 0.01
     stage2_smoothing: float = 0.0
-    stats_reset_on_stage2: bool = False
     log_every: int = 100
 
     def __post_init__(self):
@@ -165,22 +162,6 @@ class SGD:
             v *= self.momentum
             v += g
             p.value.data -= self.lr * v
-
-
-def _stage2_logits(tape: Tape, params: ModelParams, x_batch: np.ndarray):
-    """Decoder-only forward: features and pool are cut out of the graph, so
-    their gradients stay exactly zero during finetuning."""
-    f, p = encode(tape, params, x_batch)
-    f = tape.stop_gradient(f)
-    if params.config.latent_on:
-        sims = similarity_maps(tape, params.pool, f, detach_pool=True)
-        fused = fuse_for_decoder(tape, f, sims)
-    else:
-        fused = f
-    pooled = tape.mean_pool_segments(fused, p)
-    return tape.transpose(
-        tape.linear_map_1x1(pooled, tape.use(params.dec_w), tape.use(params.dec_b))
-    )
 
 
 @dataclass(frozen=True)
@@ -253,9 +234,7 @@ class TrainResult:
 
 def model_config(cfg: TrainConfig, task: TaskSpec) -> ModelConfig:
     enc = vector_encoder(task.input_dim, cfg.hidden, cfg.feature_dim)
-    return ModelConfig(enc, task.num_classes, cfg.num_latents,
-                       latent_on=cfg.latent_on,
-                       stop_cls_grad_to_pool=cfg.stop_cls_grad_to_pool)
+    return ModelConfig(enc, task.num_classes, cfg.num_latents, latent_on=cfg.latent_on)
 
 
 def run_training(cfg: TrainConfig, task: TaskSpec,
@@ -327,8 +306,6 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
             history["latent_aug"].append(breakdown.latent_aug)
 
     if not diverged and cfg.t2_iters > 0:
-        if cfg.stats_reset_on_stage2 and stats is not None:
-            stats = init_stats(stats.num_categories, stats.dim)
         stream2 = batch_stream(train_ds, "class_balanced", cfg.batch_size,
                                stage2_stream_seed(cfg.seed))
         opt2 = SGD(params.stage2_trainable(), cfg.stage2_lr, cfg.momentum,
@@ -336,9 +313,12 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
         for t in range(cfg.t2_iters):
             idx = next(stream2)
             xb, yb = train_ds.samples[idx], train_ds.labels[idx]
+            # the frozen groups run on a throwaway tape, so only the
+            # decoder is on the tape that is replayed
+            pooled = forward(Tape(), params, xb).pooled
             tape = Tape()
-            logits = _stage2_logits(tape, params, xb)
-            loss = tape.cross_entropy(logits, yb, label_smoothing=cfg.stage2_smoothing)
+            loss = tape.cross_entropy(decode(tape, params, pooled), yb,
+                                      label_smoothing=cfg.stage2_smoothing)
             opt2.zero_grad()
             tape.backward(loss)
             opt2.step()

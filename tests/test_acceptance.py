@@ -104,7 +104,7 @@ def test_01_gradient_suite():
                              rng.integers(0, 3, size=30))
         report = end_to_end_grad_check(
             params, xb, labels, stats, lam=0.5,
-            weights=LossWeights(alpha=0.3, beta=0.2, gamma=1.0),
+            weights=LossWeights(alpha=0.2, beta=0.3, gamma=1.0),
             tolerance=1e-4,
         )
         worst_e2e = max(worst_e2e, report.max_rel_err)

@@ -15,12 +15,10 @@ from lcreg.augment import (
     init_stats,
     isda_upper_bound_loss,
     latent_aug_logits,
-    load_stats,
     mc_expected_ce,
     merge_stats,
     psd_factor,
     sample_augmented,
-    save_stats,
     update_stats,
 )
 from lcreg.diffcore import Tape, grad_check
@@ -305,14 +303,3 @@ def test_psd_repair_and_rejection():
     assert np.allclose(f @ f.T, np.diag([1.0, 0.0]), atol=1e-12)
     with pytest.raises(ValueError):
         psd_factor(np.diag([1.0, -1e-3]))
-
-
-def test_stats_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(10)
-    stats = update_stats(init_stats(3, 4), rng.standard_normal((30, 4)),
-                         rng.integers(0, 3, 30))
-    save_stats(tmp_path / "stats.bin", stats)
-    back = load_stats(tmp_path / "stats.bin")
-    assert np.array_equal(back.count, stats.count)
-    assert np.array_equal(back.mean, stats.mean)
-    assert np.array_equal(back.cov, stats.cov)

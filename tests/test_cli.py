@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from lcreg import cli, diffcore
+from lcreg import cli, diffcore, tensorio
 from lcreg.cli import ConfigError, load_settings, main
 
 TINY_SETTINGS = """\
@@ -256,6 +256,20 @@ class TestEval:
             assert len(err) == 2 and all("truncated" in line for line in err)
             assert not (tmp_path / "u.csv").exists()
 
+    def test_stats_flag_without_stats_fails_cleanly(self, tmp_path, config_file, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out),
+                     "--set", "train.aug_on=false"]) == 0
+        tensors, meta = tensorio.load_tensors(out / "model.lct")
+        assert meta["has_stats"] == 0
+        bad = tmp_path / "bad.lct"
+        tensorio.save_tensors(bad, tensors, dict(meta, has_stats=1))
+        capsys.readouterr()
+        assert main(["eval", "--config", config_file, "--set", "train.aug_on=false",
+                     "--model", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "missing tensor stats.count" in err[0]
+
 
 class TestGradcheck:
     def test_passes_and_prints_every_kernel(self, capsys):
@@ -297,6 +311,16 @@ class TestReport:
     def test_missing_results_file(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "none.json")]) == 1
 
+    def test_corrupt_results_file_fails_cleanly(self, tmp_path, capsys):
+        for text in ('{"config_hash": ', "[1, 2]"):
+            path = tmp_path / "results.json"
+            path.write_text(text)
+            assert main(["report", "--results", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = captured.err.splitlines()
+            assert len(err) == 1 and str(path) in err[0]
+
     def test_no_inputs_is_usage_error(self):
         assert main(["report"]) == 2
 
@@ -332,3 +356,29 @@ class TestReport:
                      "--model", str(out / "model.lct"),
                      "--histogram-csv", str(tmp_path / "u.csv")])
         assert code == 1
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "results.json"
+        path.write_text('{"old": true}\n')
+        with pytest.raises(RuntimeError):
+            with tensorio.atomic_write(path, "w") as fh:
+                fh.write('{"new": ')
+                raise RuntimeError("crash part-way through the write")
+        assert path.read_text() == '{"old": true}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
+
+    def test_failed_checkpoint_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.lct"
+        tensorio.save_tensors(path, {"w": np.arange(4.0)}, {"iteration": 1})
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tensorio.os, "replace", fail)
+        with pytest.raises(OSError):
+            tensorio.save_tensors(path, {"w": np.ones(9)}, {"iteration": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.lct"]

@@ -16,7 +16,6 @@ from lcreg.data import (
     realized_imbalance,
     save_dataset,
     split_classes,
-    subsample_corpus,
     synthesize_mixture,
 )
 
@@ -108,18 +107,6 @@ def test_synthesize_mixture_deterministic():
     a = synthesize_mixture(spec, [20, 10, 5])
     b = synthesize_mixture(spec, [20, 10, 5])
     assert np.array_equal(a.samples, b.samples)
-
-
-def test_subsample_corpus():
-    spec = make_mixture_spec(3, 4, seed=2)
-    corpus = synthesize_mixture(spec, [100, 100, 100])
-    sub = subsample_corpus(corpus, [50, 10, 2], seed=7)
-    assert np.array_equal(np.bincount(sub.labels, minlength=3), [50, 10, 2])
-    # drawn without replacement from the right classes
-    again = subsample_corpus(corpus, [50, 10, 2], seed=7)
-    assert np.array_equal(sub.samples, again.samples)
-    with pytest.raises(ValueError):
-        subsample_corpus(corpus, [101, 1, 1], seed=0)
 
 
 def test_split_classes_thresholds():

@@ -1,4 +1,4 @@
-"""Latent pool: similarity maps, reconstruction, loss, fusion, checkpoints."""
+"""Latent pool: similarity maps, reconstruction, loss, fusion."""
 
 import math
 
@@ -12,10 +12,8 @@ from lcreg.latent import (
     LatentPool,
     fuse_for_decoder,
     init_pool,
-    load_pool,
     reconstruct,
     reconstruction_loss,
-    save_pool,
     similarity_maps,
 )
 
@@ -206,15 +204,6 @@ def test_optimizing_recon_loss_decreases_it():
     windows = [np.mean(losses[i:i + 100]) for i in range(0, 500, 100)]
     assert all(b < a for a, b in zip(windows, windows[1:]))
     assert losses[-1] < losses[0]
-
-
-def test_pool_checkpoint_roundtrip(tmp_path):
-    pool = init_pool(4, 6, seed=16)
-    save_pool(tmp_path / "pool.bin", pool)
-    back = load_pool(tmp_path / "pool.bin")
-    assert np.array_equal(back.features.value.data, pool.features.value.data)
-    assert np.array_equal(back.enc_w.value.data, pool.enc_w.value.data)
-    assert np.array_equal(back.enc_b.value.data, pool.enc_b.value.data)
 
 
 def test_pool_validation():

@@ -1,5 +1,5 @@
 """Model assembly: encoder paths against hand-rolled numpy oracles, loss
-breakdown accounting, gradient flow switches, and checkpointing."""
+breakdown accounting, gradient routing, and checkpointing."""
 
 import numpy as np
 import pytest
@@ -29,10 +29,9 @@ from lcreg.model import (
 )
 
 
-def small_vector_config(latent_on=True, stop_cls_grad_to_pool=False):
+def small_vector_config(latent_on=True):
     enc = vector_encoder(input_dim=5, hidden=(6,), feature_dim=4)
-    return ModelConfig(enc, num_classes=3, num_latents=3, latent_on=latent_on,
-                       stop_cls_grad_to_pool=stop_cls_grad_to_pool)
+    return ModelConfig(enc, num_classes=3, num_latents=3, latent_on=latent_on)
 
 
 def small_image_config(latent_on=True):
@@ -243,8 +242,8 @@ class TestTotalLoss:
         stats = stats_for(params, rng)
         weights = LossWeights(alpha=0.3, beta=0.7, gamma=1.0)
         breakdown, loss, _ = total_loss(Tape(), params, xb, labels, stats, 0.5, weights)
-        want = (weights.alpha * breakdown.latent_aug
-                + weights.beta * breakdown.recon
+        want = (weights.alpha * breakdown.recon
+                + weights.beta * breakdown.latent_aug
                 + weights.gamma * breakdown.cls)
         assert abs(breakdown.total - want) <= 1e-12
         assert breakdown.total == loss.item()
@@ -290,7 +289,7 @@ class TestTotalLoss:
         stats = stats_for(params, rng)
         weights = LossWeights(alpha=alpha, beta=beta, gamma=gamma)
         breakdown, _, _ = total_loss(Tape(), params, xb, labels, stats, 0.25, weights)
-        want = alpha * breakdown.latent_aug + beta * breakdown.recon + gamma * breakdown.cls
+        want = alpha * breakdown.recon + beta * breakdown.latent_aug + gamma * breakdown.cls
         assert abs(breakdown.total - want) <= 1e-12 * max(1.0, abs(want))
 
 
@@ -299,9 +298,8 @@ class TestGradientRouting:
         rng = np.random.default_rng(21)
         return rng.standard_normal((4, 5)), np.array([0, 1, 2, 0])
 
-    def pool_grad_norm(self, stop_flag):
-        cfg = small_vector_config(stop_cls_grad_to_pool=stop_flag)
-        params = init_model(cfg, seed=22)
+    def pool_grad_norm(self):
+        params = init_model(small_vector_config(), seed=22)
         xb, labels = self.batch()
         for p in params.parameters():
             p.zero_grad()
@@ -314,19 +312,13 @@ class TestGradientRouting:
         dec = np.abs(params.dec_w.grad.data).max()
         return g, dec
 
-    def test_stop_flag_blocks_cls_gradient_into_pool(self):
-        g, dec = self.pool_grad_norm(stop_flag=True)
-        assert g == 0.0
-        assert dec > 0.0
-
     def test_default_lets_cls_gradient_reach_pool(self):
-        g, dec = self.pool_grad_norm(stop_flag=False)
+        g, dec = self.pool_grad_norm()
         assert g > 0.0
         assert dec > 0.0
 
     def test_aug_term_reaches_pool_even_with_stop_flag(self):
-        cfg = small_vector_config(stop_cls_grad_to_pool=True)
-        params = init_model(cfg, seed=22)
+        params = init_model(small_vector_config(), seed=22)
         xb, labels = self.batch()
         stats = stats_for(params, np.random.default_rng(23))
         for p in params.parameters():
