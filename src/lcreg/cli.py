@@ -157,9 +157,8 @@ def cmd_build_dataset(args) -> int:
     train, test = make_task_data(task, cfg.seed)
     save_dataset(train, out / "train")
     save_dataset(test, out / "test")
-    (out / "task.json").write_text(
-        json.dumps(_dataset_params(task, cfg.seed), indent=2, sort_keys=True) + "\n"
-    )
+    with atomic_write(out / "task.json", "w") as fh:
+        fh.write(json.dumps(_dataset_params(task, cfg.seed), indent=2, sort_keys=True) + "\n")
     print(out)
     return 0
 
@@ -376,7 +375,7 @@ def _latent_usage_csv(args, task: TaskSpec, cfg: TrainConfig, path: Path) -> int
         np.add.at(sums, yb, per_sample.T)
         np.add.at(counts, yb, 1.0)
     usage = sums / counts[:, None]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", *[f"latent_{j}" for j in range(m)]])
         for c in range(task.num_classes):
@@ -407,10 +406,12 @@ def cmd_report(args) -> int:
     if not isinstance(payload, dict):
         print(f"results file {path} does not hold a JSON object", file=sys.stderr)
         return 1
-    if "rows" in payload:
-        print(_report_ablation(payload))
-    else:
-        print(_report_single(payload))
+    try:
+        text = _report_ablation(payload) if "rows" in payload else _report_single(payload)
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        print(f"results file {path} is malformed: {e!r}", file=sys.stderr)
+        return 1
+    print(text)
     return 0
 
 

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tensorio import atomic_write
+
 CORPUS_FORMAT = "lcreg-corpus-v1"
 CACHE_ENV_VAR = "LCREG_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".lcreg_cache"
@@ -201,10 +203,13 @@ def save_dataset(dataset: LongTailDataset, dirpath) -> Path:
         "count": int(len(dataset.labels)),
         "seed": int(dataset.seed),
     }
-    (dirpath / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
     flat = dataset.samples.reshape(len(dataset.labels), -1)
-    (dirpath / "samples.bin").write_bytes(flat.astype("<f4").tobytes())
-    (dirpath / "labels.bin").write_bytes(dataset.labels.astype("<u4").tobytes())
+    # meta.json marks a complete corpus (the cache checks for it), so it goes last
+    for name, payload in (("samples.bin", flat.astype("<f4").tobytes()),
+                          ("labels.bin", dataset.labels.astype("<u4").tobytes()),
+                          ("meta.json", json.dumps(meta, sort_keys=True, indent=1).encode())):
+        with atomic_write(dirpath / name) as fh:
+            fh.write(payload)
     return dirpath
 
 

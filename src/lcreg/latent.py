@@ -13,7 +13,8 @@ None of this reads labels; the pool is shared by all classes.
 
 Columns may stack several samples' position blocks side by side
 ([D, B*P] with equal P); every op here is positionwise except the
-correlation blocks, which are built per sample.
+correlation, which one batched kernel builds for all samples at once and
+stacks as [B*P, P].
 """
 
 from __future__ import annotations
@@ -92,38 +93,25 @@ def similarity_maps(tape: Tape, pool: LatentPool, f: Tensor) -> SimilarityStack:
 
 @dataclass
 class Reconstruction:
-    """Weighted latent reconstruction of f plus per-sample correlation blocks."""
-    f_hat: Tensor          # [D, P]
-    corr: list[Tensor]     # per sample: [HW, HW] = f_hat_b^T f_b
+    """Weighted latent reconstruction of f plus its per-sample correlations."""
+    f_hat: Tensor  # [D, B*P]
+    corr: Tensor   # [B*P, P]: the rows of f_hat_b^T f_b, sample by sample
 
 
 def reconstruct(tape: Tape, sims: SimilarityStack, f: Tensor,
                 positions_per_sample: int | None = None) -> Reconstruction:
-    """f_hat = encoded^T @ normalized; correlation is built per sample block."""
+    """f_hat = encoded^T @ normalized; correlation per sample block of P columns."""
     f_hat = tape.matmul(tape.transpose(sims.encoded), sims.normalized)
-    total = f.shape[1]
-    p = total if positions_per_sample is None else int(positions_per_sample)
-    if p < 1 or total % p != 0:
-        raise ShapeError(f"reconstruct: {total} columns with block {p}")
-    corr: list[Tensor] = []
-    for start in range(0, total, p):
-        fh = tape.col_block(f_hat, start, p) if total != p else f_hat
-        fb = tape.col_block(f, start, p) if total != p else f
-        corr.append(tape.matmul(tape.transpose(fh), fb))
-    return Reconstruction(f_hat=f_hat, corr=corr)
+    p = f.shape[1] if positions_per_sample is None else int(positions_per_sample)
+    return Reconstruction(f_hat=f_hat, corr=tape.block_correlation(f_hat, f, p))
 
 
 def reconstruction_loss(tape: Tape, recon: Reconstruction) -> Tensor:
-    """Row-wise softmax cross-entropy on each correlation block, diagonal
-    targets, averaged over rows then samples."""
-    if not recon.corr:
-        raise ShapeError("reconstruction_loss: reconstruction carries no correlation blocks")
-    total = None
-    for block in recon.corr:
-        p = block.shape[0]
-        ce = tape.cross_entropy(block, np.arange(p))
-        total = ce if total is None else tape.add(total, ce)
-    return tape.scale(total, 1.0 / len(recon.corr))
+    """Row-wise softmax cross-entropy on the correlation rows, diagonal
+    targets. Every sample has P rows, so the mean over all rows is the mean
+    over samples of each sample's row mean."""
+    rows, p = recon.corr.shape
+    return tape.cross_entropy(recon.corr, np.tile(np.arange(p), rows // p))
 
 
 def fuse_for_decoder(tape: Tape, f: Tensor, sims: SimilarityStack) -> Tensor:

@@ -25,15 +25,15 @@ VERSION = 1
 
 
 @contextmanager
-def atomic_write(path, mode: str = "wb"):
-    """Open a temporary file next to ``path`` for writing; on a clean exit it
-    replaces ``path`` in one rename, on an exception it is removed and
-    ``path`` is left as it was."""
+def atomic_write(path, mode: str = "wb", newline: str | None = None):
+    """Open a temporary file next to ``path`` for writing (``newline`` as in
+    :func:`open`); on a clean exit it replaces ``path`` in one rename, on an
+    exception it is removed and ``path`` is left as it was."""
     # plain string paths: pathlib costs more than the write itself on a
     # checkpoint of tens of kB
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

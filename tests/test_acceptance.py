@@ -264,7 +264,7 @@ def test_05_reconstruction_descent():
     tape = Tape()
     f = tape.constant(f_fixed)
     sims = similarity_maps(tape, pool, f)
-    corr = reconstruct(tape, sims, f, positions_per_sample=p).corr[0].data
+    corr = reconstruct(tape, sims, f, positions_per_sample=p).corr.data[:p]
     mx = corr.max(axis=1, keepdims=True)
     probs = np.exp(corr - mx)
     probs /= probs.sum(axis=1, keepdims=True)

@@ -321,6 +321,22 @@ class TestReport:
             err = captured.err.splitlines()
             assert len(err) == 1 and str(path) in err[0]
 
+    def test_ablation_rows_without_seeds_fail_cleanly(self, tmp_path, capsys):
+        self._assert_malformed(tmp_path, capsys, '{"rows": {"full": {}}}')
+
+    def test_record_without_accuracies_fails_cleanly(self, tmp_path, capsys):
+        self._assert_malformed(tmp_path, capsys, '{"metrics": {}}')
+
+    @staticmethod
+    def _assert_malformed(tmp_path, capsys, text):
+        path = tmp_path / "results.json"
+        path.write_text(text)
+        assert main(["report", "--results", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and str(path) in err[0]
+
     def test_no_inputs_is_usage_error(self):
         assert main(["report"]) == 2
 
@@ -358,6 +374,22 @@ class TestReport:
         assert code == 1
 
 
+def _fail_replace_onto(monkeypatch, name):
+    """Make every rename onto a file called ``name`` fail like a full disk."""
+    real = tensorio.os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith(name):
+            raise OSError("disk full")
+        real(src, dst)
+
+    monkeypatch.setattr(tensorio.os, "replace", replace)
+
+
+def _snapshot(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestAtomicWrites:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "results.json"
@@ -382,3 +414,30 @@ class TestAtomicWrites:
             tensorio.save_tensors(path, {"w": np.ones(9)}, {"iteration": 2})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.lct"]
+
+    @pytest.mark.parametrize("name", ["samples.bin", "labels.bin", "meta.json", "task.json"])
+    def test_failed_build_dataset_keeps_previous_file(self, tmp_path, config_file,
+                                                      monkeypatch, name, capsys):
+        out = tmp_path / "ds"
+        assert main(["build-dataset", "--config", config_file, "--out", str(out)]) == 0
+        before = _snapshot(out)
+        _fail_replace_onto(monkeypatch, name)
+        with pytest.raises(OSError):
+            main(["build-dataset", "--config", config_file, "--out", str(out),
+                  "--seed", "1"])
+        after = _snapshot(out)
+        assert sorted(after) == sorted(before)  # no temporary file left behind
+        assert all(after[k] == before[k] for k in before if k.name == name)
+
+    def test_failed_histogram_csv_keeps_previous_file(self, tmp_path, config_file,
+                                                      monkeypatch, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out)]) == 0
+        csv_path = tmp_path / "usage.csv"
+        csv_path.write_text("previous\n")
+        _fail_replace_onto(monkeypatch, "usage.csv")
+        with pytest.raises(OSError):
+            main(["report", "--config", config_file, "--model", str(out / "model.lct"),
+                  "--histogram-csv", str(csv_path)])
+        assert csv_path.read_text() == "previous\n"
+        assert not (tmp_path / "usage.csv.tmp").exists()

@@ -156,6 +156,18 @@ def test_quadratic_penalty_rejects_mismatched_cov():
             tape.quadratic_penalty(w, np.zeros(shape), 1.0)
 
 
+def test_block_correlation_rejects_bad_shapes():
+    tape = Tape()
+    a = tape.constant(np.zeros((3, 6)))
+    cases = [((3, 4), 2), ((2, 6), 2), ((3, 6), 0), ((3, 6), -3), ((3, 6), 4), ((3, 6), 7)]
+    for b_shape, width in cases:
+        with pytest.raises(ShapeError):
+            tape.block_correlation(a, tape.constant(np.zeros(b_shape)), width)
+    flat = tape.constant(np.zeros(6))
+    with pytest.raises(ShapeError):
+        tape.block_correlation(flat, flat, 2)
+
+
 def test_backward_requires_scalar():
     tape = Tape()
     out = tape.add(tape.constant(np.ones(3)), tape.constant(np.ones(3)))
@@ -185,6 +197,16 @@ def test_battery_covers_every_kernel():
     orphaned = {e for e in entries if not any(covers(k, e) for k in kernels)}
     assert not unchecked, f"kernels missing from the battery: {sorted(unchecked)}"
     assert not orphaned, f"battery entries without a kernel: {sorted(orphaned)}"
+
+
+def test_battery_entry_independent_of_earlier_entries(monkeypatch):
+    base = {r.op: r for r in diffcore.standard_kernel_checks(instances=2, seed=3)}
+    extra = ("tanh_extra", lambda t, a: t.tanh(a), lambda rand: [rand(5, 5)])
+    monkeypatch.setattr(diffcore, "KERNEL_CHECKS",
+                        (extra, *reversed(diffcore.KERNEL_CHECKS)))
+    moved = {r.op: r for r in diffcore.standard_kernel_checks(instances=2, seed=3)}
+    assert moved.pop("tanh_extra").passed
+    assert moved == base
 
 
 def test_grad_check_catches_wrong_backward(monkeypatch):

@@ -60,7 +60,7 @@ def test_identity_reconstruction_loss_value():
     corr = tape.constant(10.0 * np.eye(2))
     from lcreg.latent import Reconstruction
 
-    recon = Reconstruction(f_hat=tape.constant(np.zeros((2, 2))), corr=[corr])
+    recon = Reconstruction(f_hat=tape.constant(np.zeros((2, 2))), corr=corr)
     loss = reconstruction_loss(tape, recon)
     assert loss.item() == pytest.approx(math.log1p(math.exp(-10.0)), rel=1e-12)
 
@@ -74,8 +74,7 @@ def test_reconstruction_shapes_and_loss_runs():
     sims = similarity_maps(tape, pool, node)
     recon = reconstruct(tape, sims, node)
     assert recon.f_hat.shape == (8, 16)
-    assert len(recon.corr) == 1
-    assert recon.corr[0].shape == (16, 16)
+    assert recon.corr.shape == (16, 16)  # one sample: its whole correlation matrix
     loss = reconstruction_loss(tape, recon)
     assert np.isfinite(loss.item())
 
@@ -95,6 +94,33 @@ def test_reconstruction_batched_blocks_match_per_sample():
     stacked = loss_of(np.concatenate([fa, fb], axis=1), 5)
     separate = 0.5 * (loss_of(fa, 5) + loss_of(fb, 5))
     assert stacked == pytest.approx(separate, rel=1e-12)
+
+
+@pytest.mark.parametrize("batch,positions", [(1, 1), (1, 16), (3, 5), (64, 25)])
+def test_reconstruction_loss_matches_numpy_loop(batch, positions):
+    rng = np.random.default_rng(batch * 100 + positions)
+    pool = init_pool(5, 6, seed=positions)
+    f = rng.standard_normal((6, batch * positions))
+    tape = Tape()
+    node = tape.constant(f)
+    recon = reconstruct(tape, similarity_maps(tape, pool, node), node,
+                        positions_per_sample=positions)
+    got = reconstruction_loss(tape, recon).item()
+
+    # independent per-sample loop in plain numpy
+    enc = pool.features.value.data @ pool.enc_w.value.data.T + pool.enc_b.value.data
+    raw = 1.0 / (1.0 + np.exp(-(enc @ f)))
+    norm = np.exp(raw - raw.max(axis=0))
+    norm /= norm.sum(axis=0)
+    f_hat = enc.T @ norm
+    losses = []
+    for s in range(0, batch * positions, positions):
+        corr = f_hat[:, s:s + positions].T @ f[:, s:s + positions]
+        mx = corr.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(corr - mx).sum(axis=1)) + mx[:, 0]
+        losses.append(np.mean(lse - np.diag(corr)))
+    want = float(np.mean(losses))
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_pool_features_receive_gradient_from_recon_loss():

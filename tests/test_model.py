@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lcreg.augment import init_stats, update_stats
 from lcreg.diffcore import Tape
+from lcreg.latent import reconstruction_loss
 from lcreg.model import (
     CONV_KERNEL,
     CONV_STRIDE,
@@ -221,7 +222,22 @@ class TestForward:
         xi = np.random.default_rng(3).standard_normal((2, 1, 7, 7))
         out = forward(Tape(), img, xi, with_recon_corr=True)
         assert out.recon is not None
-        assert len(out.recon.corr) == 2
+        p = out.positions
+        assert p > 1 and out.recon.corr.shape == (2 * p, p)  # two samples' row blocks
+
+    def test_recon_tape_length_does_not_grow_with_batch(self):
+        # the correlation is one batched kernel, not a per-sample loop
+        cfg = ModelConfig(image_encoder(1, 11, 11, (3,), 4), num_classes=3, num_latents=3)
+        params = init_model(cfg, seed=4)
+        lengths = []
+        for batch in (2, 64):
+            xb = np.random.default_rng(batch).standard_normal((batch, 1, 11, 11))
+            tape = Tape()
+            out = forward(tape, params, xb, with_recon_corr=True)
+            assert out.positions == 25
+            reconstruction_loss(tape, out.recon)
+            lengths.append(len(tape._entries))
+        assert lengths[0] == lengths[1]
 
     def test_single_latent_degenerates_cleanly(self):
         enc = vector_encoder(5, (6,), 4)
