@@ -3,11 +3,14 @@
 Per category m we keep a running count, mean, and population covariance over
 a stream of D-dimensional observations, merged batch-by-batch in one pass:
 given the current aggregate (n, mu, S) and a batch aggregate (n', mu', S'),
+with w = n' / max(n + n', 1) and delta = mu' - mu,
 
-    mu_new = (n mu + n' mu') / (n + n')
-    S_new  = (n S + n' S') / (n + n') + n n' (mu - mu') (mu - mu')^T / (n + n')^2
+    mu_new = mu + w delta
+    S_new  = S + w (S' - S) + w (1 - w) delta delta^T
 
 which is exact for population (divide-by-n) moments under any bracketing.
+A category absent from the batch (w = 0) keeps its moments bit-exactly, and
+an empty one (w = 1) takes the batch's.
 
 The augmentation loss treats each latent vector as the single member of its
 own pseudo-class (label m) and scores a linear classifier (w, b) under
@@ -81,26 +84,15 @@ def init_stats(num_categories: int, dim: int) -> CategoryStats:
     )
 
 
-def batch_moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Count, mean, population covariance of one batch of row vectors."""
-    values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    mu = values.mean(axis=0)
-    centered = values - mu
-    cov = centered.T @ centered / n
-    return n, mu, cov
-
-
-def _merge_one(n_a, mu_a, cov_a, n_b, mu_b, cov_b):
-    n = n_a + n_b
-    if n_a == 0:
-        return n_b, mu_b.copy(), cov_b.copy()
-    if n_b == 0:
-        return n_a, mu_a.copy(), cov_a.copy()
-    mu = (n_a * mu_a + n_b * mu_b) / n
-    delta = mu_a - mu_b
-    cov = (n_a * cov_a + n_b * cov_b) / n + (n_a * n_b) * np.outer(delta, delta) / (n * n)
-    return n, mu, cov
+def _merge(stats: CategoryStats, n_b, mu_b, cov_b) -> CategoryStats:
+    """Merge per-category batch moments into ``stats``, all categories at once."""
+    n = stats.count + n_b
+    w = n_b / np.maximum(n, 1)
+    delta = mu_b - stats.mean
+    mean = stats.mean + w[:, None] * delta
+    cov = (stats.cov + w[:, None, None] * (cov_b - stats.cov)
+           + (w * (1.0 - w))[:, None, None] * (delta[:, :, None] * delta[:, None, :]))
+    return CategoryStats(n, mean, cov)
 
 
 def update_stats(stats: CategoryStats, values: np.ndarray, categories) -> CategoryStats:
@@ -108,52 +100,31 @@ def update_stats(stats: CategoryStats, values: np.ndarray, categories) -> Catego
     ``categories``) into the running stats. Returns new stats."""
     values = np.asarray(values, dtype=np.float64)
     categories = np.asarray(categories, dtype=np.int64)
+    m = stats.num_categories
     if values.ndim != 2 or values.shape[1] != stats.dim:
         raise ValueError(f"update_stats: values shape {values.shape}, dim {stats.dim}")
     if categories.shape != (len(values),):
         raise ValueError("update_stats: one category per observation required")
-    if len(categories) and (categories.min() < 0 or categories.max() >= stats.num_categories):
+    if len(categories) and (categories.min() < 0 or categories.max() >= m):
         raise ValueError("update_stats: category out of range")
 
-    count = stats.count.copy()
-    mean = stats.mean.copy()
-    cov = stats.cov.copy()
-
-    if len(categories) == stats.num_categories and np.array_equal(
-        categories, np.arange(stats.num_categories)
-    ):
-        # exactly one observation per category: vectorize the merge
-        n_a = count.astype(np.float64)
-        n = n_a + 1.0
-        mu_b = values
-        mu = (n_a[:, None] * mean + mu_b) / n[:, None]
-        delta = mean - mu_b
-        cov = (n_a[:, None, None] * cov) / n[:, None, None] + (
-            n_a[:, None, None] * np.einsum("md,me->mde", delta, delta)
-        ) / (n * n)[:, None, None]
-        return CategoryStats(count + 1, mu, cov)
-
-    for c in np.unique(categories):
-        chunk = values[categories == c]
-        n_b, mu_b, cov_b = batch_moments(chunk)
-        count[c], mean[c], cov[c] = _merge_one(
-            int(count[c]), mean[c], cov[c], n_b, mu_b, cov_b
-        )
-    return CategoryStats(count, mean, cov)
+    if len(categories) == m and np.array_equal(categories, np.arange(m)):
+        # one observation per category: it is the batch mean, with zero covariance
+        return _merge(stats, np.ones(m, dtype=np.int64), values, np.zeros_like(stats.cov))
+    onehot = (categories == np.arange(m)[:, None]).astype(np.float64)  # [M, B]
+    n_b = np.bincount(categories, minlength=m)
+    per = np.maximum(n_b, 1)
+    mu_b = onehot @ values / per[:, None]
+    centered = values - mu_b[categories]
+    cov_b = (onehot[:, None, :] * centered.T) @ centered / per[:, None, None]
+    return _merge(stats, n_b, mu_b, cov_b)
 
 
 def merge_stats(a: CategoryStats, b: CategoryStats) -> CategoryStats:
-    """Merge two aggregates category by category (same math as update)."""
+    """Merge two aggregates (same math as update)."""
     if a.num_categories != b.num_categories or a.dim != b.dim:
         raise ValueError("merge_stats: shape mismatch")
-    count = np.empty_like(a.count)
-    mean = np.empty_like(a.mean)
-    cov = np.empty_like(a.cov)
-    for m in range(a.num_categories):
-        count[m], mean[m], cov[m] = _merge_one(
-            int(a.count[m]), a.mean[m], a.cov[m], int(b.count[m]), b.mean[m], b.cov[m]
-        )
-    return CategoryStats(count, mean, cov)
+    return _merge(a, b.count, b.mean, b.cov)
 
 
 @dataclass(frozen=True)

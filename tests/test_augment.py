@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lcreg.augment import (
     AugSchedule,
     CategoryStats,
-    batch_moments,
     classwise_augmented_logits,
     init_stats,
     isda_upper_bound_loss,
@@ -95,6 +94,90 @@ def test_one_observation_per_category_fast_path():
     assert np.array_equal(stats_fast.count, stats_slow.count)
     assert np.allclose(stats_fast.mean, stats_slow.mean, atol=1e-12)
     assert np.allclose(stats_fast.cov, stats_slow.cov, atol=1e-12)
+
+
+def loop_merge_one(n_a, mu_a, cov_a, n_b, mu_b, cov_b):
+    """Reference: the count-weighted merge formula, one category at a time."""
+    n = n_a + n_b
+    if n_a == 0:
+        return n_b, mu_b.copy(), cov_b.copy()
+    if n_b == 0:
+        return n_a, mu_a.copy(), cov_a.copy()
+    mu = (n_a * mu_a + n_b * mu_b) / n
+    delta = mu_a - mu_b
+    cov = (n_a * cov_a + n_b * cov_b) / n + (n_a * n_b) * np.outer(delta, delta) / (n * n)
+    return n, mu, cov
+
+
+def loop_update(stats, values, categories):
+    count, mean, cov = stats.count.copy(), stats.mean.copy(), stats.cov.copy()
+    for c in np.unique(categories):
+        chunk = values[categories == c]
+        mu, s = population_moments(chunk)
+        count[c], mean[c], cov[c] = loop_merge_one(
+            int(count[c]), mean[c], cov[c], len(chunk), mu, s)
+    return CategoryStats(count, mean, cov)
+
+
+def loop_merge(a, b):
+    merged = [loop_merge_one(int(a.count[m]), a.mean[m], a.cov[m],
+                             int(b.count[m]), b.mean[m], b.cov[m])
+              for m in range(a.num_categories)]
+    return CategoryStats(*(np.array(part) for part in zip(*merged)))
+
+
+def assert_stats_close(got, want, tol=1e-12):
+    assert np.array_equal(got.count, want.count)
+    assert np.abs(got.mean - want.mean).max() <= tol
+    assert np.abs(got.cov - want.cov).max() <= tol
+
+
+def test_update_matches_per_category_loop():
+    # categories 5 and 6 never appear; 4 appears only from the third batch on,
+    # so it starts from empty running stats
+    rng = np.random.default_rng(12)
+    m, d = 7, 3
+    fast = slow = init_stats(m, d)
+    for step in range(6):
+        labels = rng.integers(0, 4 if step < 2 else 5, size=9)
+        values = rng.standard_normal((9, d)) * 2.0 + labels[:, None]
+        fast, slow = update_stats(fast, values, labels), loop_update(slow, values, labels)
+        assert_stats_close(fast, slow)
+    assert fast.count[4] > 0 and fast.count[5] == fast.count[6] == 0
+
+
+def test_absent_categories_keep_moments_bit_exactly():
+    rng = np.random.default_rng(13)
+    m, d = 6, 8
+    a = rng.standard_normal((m, d, d))
+    stats = CategoryStats(rng.integers(3, 50, size=m), rng.standard_normal((m, d)),
+                          np.einsum("mde,mfe->mdf", a, a))
+    labels = np.array([1, 3, 3, 1, 3])
+    after = update_stats(stats, rng.standard_normal((5, d)), labels)
+    for c in (0, 2, 4, 5):
+        assert after.count[c] == stats.count[c]
+        assert np.array_equal(after.mean[c], stats.mean[c])
+        assert np.array_equal(after.cov[c], stats.cov[c])
+
+
+def test_merge_stats_matches_loop_with_empty_categories():
+    # category 0 is empty in a, 1 in b, 2 in both, 3 in neither
+    rng = np.random.default_rng(14)
+    m, d = 4, 3
+
+    def fed(cats):
+        labels = rng.choice(cats, size=12)
+        return update_stats(init_stats(m, d), rng.standard_normal((12, d)), labels)
+
+    a, b = fed([1, 3]), fed([0, 3])
+    merged = merge_stats(a, b)
+    assert_stats_close(merged, loop_merge(a, b))
+    assert np.array_equal(merged.count, a.count + b.count)
+    for src, c in ((b, 0), (a, 1)):
+        assert np.array_equal(merged.mean[c], src.mean[c])
+        assert np.array_equal(merged.cov[c], src.cov[c])
+    assert merged.count[2] == 0
+    assert np.all(merged.mean[2] == 0.0) and np.all(merged.cov[2] == 0.0)
 
 
 def test_single_observation_gives_zero_covariance():
