@@ -10,7 +10,7 @@ reconstruction and augmentation weights.
 Examples:
     python3 scripts/run_hparam_sensitivity.py
     python3 scripts/run_hparam_sensitivity.py --pairs "1,1;0.5,0.5" --seeds 0,1
-    python3 scripts/run_hparam_sensitivity.py --set gamma=1.0 --out results/sweep.json
+    python3 scripts/run_hparam_sensitivity.py --set train.gamma=1.0 --out results/sweep.json
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from lcreg.cli import ConfigError, load_settings, _format_table
-from lcreg.trainer import config_dict, make_task_data, run_training
+from lcreg.tensorio import atomic_write
+from lcreg.trainer import config_dict, run_ablation
 
 DEFAULT_PAIRS = "1,1;0.1,0.1;1,0.1;0.1,1"
 
@@ -68,23 +68,18 @@ def main(argv=None) -> int:
         print("--seeds must name at least one seed", file=sys.stderr)
         return 2
 
-    data = {s: make_task_data(task, s) for s in seeds}
+    grid = run_ablation(cfg, task, seeds,
+                        rows={(a, b): dict(alpha=a, beta=b) for a, b in pairs})
     cells = {}
-    for a, b in pairs:
-        overalls, fews, diverged = [], [], 0
-        for s in seeds:
-            run_cfg = replace(cfg, alpha=a, beta=b, seed=s)
-            result = run_training(run_cfg, task, datasets=data[s])
-            if result.diverged:
-                diverged += 1
-                continue
-            overalls.append(result.report.overall)
-            fews.append(result.report.few)
-        cells[(a, b)] = {
+    for pair, row in grid["rows"].items():
+        runs = [m for m in row["seeds"].values() if "error" not in m]
+        overalls = [m["overall"] for m in runs]
+        fews = [m["few"] for m in runs]
+        cells[pair] = {
             "overall": float(np.mean(overalls)) if overalls else None,
             "overall_std": float(np.std(overalls)) if overalls else None,
             "few": float(np.mean(fews)) if fews else None,
-            "diverged": diverged,
+            "diverged": len(seeds) - len(runs),
         }
 
     clean = {p: c for p, c in cells.items() if c["overall"] is not None}
@@ -115,7 +110,8 @@ def main(argv=None) -> int:
             "seeds": seeds,
             "cells": {f"{a:g},{b:g}": cell for (a, b), cell in cells.items()},
         }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        with atomic_write(path, "w") as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
     return 0
 

@@ -10,7 +10,7 @@ few split.
 
 Examples:
     python3 scripts/run_mixture_ablation.py
-    python3 scripts/run_mixture_ablation.py --seeds 0,1,2 --set t1_iters=1000
+    python3 scripts/run_mixture_ablation.py --seeds 0,1,2 --set train.t1_iters=1000
     python3 scripts/run_mixture_ablation.py --out results/ablation.json
 """
 
@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from lcreg.cli import ConfigError, load_settings, _report_ablation
+from lcreg.tensorio import atomic_write
 from lcreg.trainer import config_dict, run_ablation
 
 
@@ -72,7 +73,8 @@ def main(argv=None) -> int:
             "rows": grid["rows"],
             "summary": summary,
         }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        with atomic_write(path, "w") as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"\nwrote {path}")
     return 0
 

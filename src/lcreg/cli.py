@@ -170,7 +170,11 @@ def _load_cached_data(task: TaskSpec, seed: int):
         print(f"dataset cache miss: expected {marker}\n"
               f"run `lcreg build-dataset` with the same config first", file=sys.stderr)
         return None
-    return load_dataset(root / "train"), load_dataset(root / "test")
+    try:
+        return load_dataset(root / "train"), load_dataset(root / "test")
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        print(f"cannot load dataset cache {root}: {e}", file=sys.stderr)
+        return None
 
 
 def _read_run_record(path: Path) -> dict:

@@ -3,7 +3,8 @@
 A profile is the per-class sample count vector. A dataset is samples plus
 labels grouped by class, synthesized from a Gaussian mixture. Class splits
 (many/medium/few) are decided by the training counts. Samplers are infinite,
-seeded index streams.
+seeded index streams. Samples are float32 values held as float64, so the
+float32 corpus files store them losslessly.
 
 On-disk corpus layout (one directory per dataset):
     meta.json    {"format": "lcreg-corpus-v1", "num_classes": C,
@@ -149,7 +150,8 @@ def make_mixture_spec(num_classes: int, input_dim: int, seed: int,
 
 
 def synthesize_mixture(spec: MixtureSpec, counts, seed: int | None = None) -> LongTailDataset:
-    """Draw counts[c] samples from component c, grouped by class."""
+    """Draw counts[c] samples from component c, grouped by class, rounded to
+    float32 precision so that a saved corpus loads back bit-identically."""
     counts = np.asarray(counts, dtype=np.int64)
     if len(counts) != spec.num_classes:
         raise ValueError("synthesize_mixture: counts length != num_classes")
@@ -160,7 +162,8 @@ def synthesize_mixture(spec: MixtureSpec, counts, seed: int | None = None) -> Lo
         noise = rng.standard_normal((int(n), spec.input_dim))
         xs.append(spec.means[c] + spec.stdev * noise)
         ys.append(np.full(int(n), c, dtype=np.int64))
-    return LongTailDataset(np.concatenate(xs), np.concatenate(ys), counts, draw_seed)
+    samples = np.concatenate(xs).astype(np.float32).astype(np.float64)
+    return LongTailDataset(samples, np.concatenate(ys), counts, draw_seed)
 
 
 def batch_stream(dataset: LongTailDataset, mode: str, batch_size: int, seed: int):

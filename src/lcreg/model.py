@@ -323,9 +323,6 @@ class LossBreakdown:
     cls: float
     recon: float
     latent_aug: float
-    alpha: float
-    beta: float
-    gamma: float
 
 
 def total_loss(tape: Tape, params: ModelParams, x_batch: np.ndarray, labels,
@@ -373,9 +370,6 @@ def total_loss(tape: Tape, params: ModelParams, x_batch: np.ndarray, labels,
         cls=cls.item(),
         recon=recon_value,
         latent_aug=aug_value,
-        alpha=weights.alpha,
-        beta=weights.beta,
-        gamma=weights.gamma,
     )
     return breakdown, loss, fwd
 

@@ -277,11 +277,10 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
             aug_logits = classwise_augmented_logits(
                 tape, fwd.logits, tape.use(params.dec_w), yb, stats, lam
             )
-            loss = tape.scale(tape.cross_entropy(aug_logits, yb), cfg.gamma)
-            breakdown = LossBreakdown(
-                total=loss.item(), cls=loss.item() / cfg.gamma, recon=0.0,
-                latent_aug=0.0, alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma,
-            )
+            cls = tape.cross_entropy(aug_logits, yb)
+            loss = tape.scale(cls, cfg.gamma)
+            breakdown = LossBreakdown(total=loss.item(), cls=cls.item(), recon=0.0,
+                                      latent_aug=0.0)
         else:
             breakdown, loss, fwd = total_loss(
                 tape, params, xb, yb, stats if cfg.aug_on else None, lam,

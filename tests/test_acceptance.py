@@ -42,7 +42,6 @@ from lcreg.trainer import (
     run_ablation,
     run_training,
 )
-from dataclasses import replace
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -66,20 +65,11 @@ def component_grid():
 def weight_grid():
     """Full model at four (alpha, beta) pairs, five seeds each."""
     pairs = ((1.0, 1.0), (0.1, 0.1), (1.0, 0.1), (0.1, 1.0))
-    task = TaskSpec()
-    data = {s: make_task_data(task, s) for s in SEEDS}
-    out = {}
-    for a, b in pairs:
-        overalls, diverged = [], 0
-        for s in SEEDS:
-            cfg = replace(TrainConfig(), alpha=a, beta=b, gamma=1.0, seed=s)
-            result = run_training(cfg, task, datasets=data[s])
-            if result.diverged:
-                diverged += 1
-            else:
-                overalls.append(result.report.overall)
-        out[(a, b)] = {"overall": float(np.mean(overalls)), "diverged": diverged}
-    return out
+    grid = run_ablation(TrainConfig(), TaskSpec(), SEEDS,
+                        rows={(a, b): dict(alpha=a, beta=b) for a, b in pairs})
+    return {pair: {"overall": cell.get("overall", float("nan")),
+                   "diverged": len(SEEDS) - cell["num_clean"]}
+            for pair, cell in grid["summary"].items()}
 
 
 # -- the ten checks ---------------------------------------------------------

@@ -2,12 +2,14 @@
 idempotent reruns, exit codes, and the report formats."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lcreg import cli, diffcore, tensorio
 from lcreg.cli import ConfigError, load_settings, main
+from lcreg.trainer import canonical_record_bytes
 
 TINY_SETTINGS = """\
 # small task for fast runs
@@ -171,7 +173,25 @@ class TestTrain:
         assert main(["train", "--config", config_file, "--out", str(out_b)]) == 0
         a = json.loads((out_a / "results.json").read_text())
         b = json.loads((out_b / "results.json").read_text())
-        assert a["metrics"] == b["metrics"]
+        assert canonical_record_bytes(a) == canonical_record_bytes(b)
+
+    @pytest.mark.parametrize("damage", ["missing_test_meta", "truncated_train_meta"])
+    def test_from_cache_partial_cache_fails_cleanly(self, tmp_path, config_file,
+                                                    monkeypatch, capsys, damage):
+        monkeypatch.setenv("LCREG_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["build-dataset", "--config", config_file]) == 0
+        root = Path(capsys.readouterr().out.strip())
+        if damage == "missing_test_meta":
+            (root / "test" / "meta.json").unlink()
+        else:
+            (root / "train" / "meta.json").write_text('{"format": ')
+        out = tmp_path / "r"
+        code = main(["train", "--config", config_file, "--out", str(out), "--from-cache"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "cannot load dataset cache" in err and str(root) in err
+        assert not (out / "results.json").exists()
 
     def test_corrupt_results_file_is_rerun(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
