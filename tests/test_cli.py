@@ -175,7 +175,8 @@ class TestTrain:
         b = json.loads((out_b / "results.json").read_text())
         assert canonical_record_bytes(a) == canonical_record_bytes(b)
 
-    @pytest.mark.parametrize("damage", ["missing_test_meta", "truncated_train_meta"])
+    @pytest.mark.parametrize("damage", ["missing_test_meta", "truncated_train_meta",
+                                        "scalar_sample_shape"])
     def test_from_cache_partial_cache_fails_cleanly(self, tmp_path, config_file,
                                                     monkeypatch, capsys, damage):
         monkeypatch.setenv("LCREG_CACHE_DIR", str(tmp_path / "cache"))
@@ -183,8 +184,11 @@ class TestTrain:
         root = Path(capsys.readouterr().out.strip())
         if damage == "missing_test_meta":
             (root / "test" / "meta.json").unlink()
-        else:
+        elif damage == "truncated_train_meta":
             (root / "train" / "meta.json").write_text('{"format": ')
+        else:
+            meta = json.loads((root / "train" / "meta.json").read_text())
+            (root / "train" / "meta.json").write_text(json.dumps({**meta, "sample_shape": 5}))
         out = tmp_path / "r"
         code = main(["train", "--config", config_file, "--out", str(out), "--from-cache"])
         assert code == 1
