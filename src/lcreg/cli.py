@@ -20,13 +20,14 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .augment import init_stats, update_stats
-from .data import dataset_cache_dir, load_dataset, save_dataset
+from .augment import AugSchedule, init_stats, update_stats
+from .data import (build_profile, dataset_cache_dir, load_dataset, make_mixture_spec,
+                   save_dataset)
 from .diffcore import Tape, standard_kernel_checks
 from .model import (
     ModelConfig,
@@ -38,6 +39,7 @@ from .model import (
     save_model,
 )
 from .trainer import (
+    EVAL_CHUNK,
     TaskSpec,
     TrainConfig,
     config_dict,
@@ -134,13 +136,19 @@ def load_settings(config_path, set_pairs, seed=None) -> tuple[TaskSpec, TrainCon
             train_kw[name] = _coerce(key, raw, getattr(train_defaults, name))
         else:
             raise ConfigError(f"unknown key {key!r} (use task. or train. prefixes)")
+    if seed is not None:
+        train_kw["seed"] = int(seed)
     try:
         task = TaskSpec(**task_kw)
         cfg = TrainConfig(**train_kw)
+        # build what a run builds, so a value only they reject exits 2 here
+        model_config(cfg, task)
+        build_profile(task.num_classes, task.n_max, task.imbalance, task.profile)
+        make_mixture_spec(task.num_classes, task.input_dim, cfg.seed,
+                          mean_scale=task.mean_scale, stdev=task.stdev)
+        AugSchedule(cfg.lambda0, cfg.t1_iters)
     except ValueError as e:
         raise ConfigError(str(e))
-    if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
     return task, cfg
 
 
@@ -368,14 +376,14 @@ def _latent_usage_csv(args, task: TaskSpec, cfg: TrainConfig, path: Path) -> int
         return 1
     _, test = make_task_data(task, cfg.seed)
     m = params.config.num_latents
+    d = params.config.encoder.feature_dim
     sums = np.zeros((task.num_classes, m))
     counts = np.zeros(task.num_classes)
-    chunk = 256
-    for start in range(0, len(test.labels), chunk):
-        xb = test.samples[start:start + chunk]
-        yb = test.labels[start:start + chunk]
-        fwd = forward(Tape(), params, xb)
-        per_sample = Tape().mean_pool_segments(fwd.sims.normalized, fwd.positions).data
+    for start in range(0, len(test.labels), EVAL_CHUNK):
+        xb = test.samples[start:start + EVAL_CHUNK]
+        yb = test.labels[start:start + EVAL_CHUNK]
+        # pooled rows past the features are the mean normalized similarities
+        per_sample = forward(Tape(), params, xb).pooled.data[d:]
         np.add.at(sums, yb, per_sample.T)
         np.add.at(counts, yb, 1.0)
     usage = sums / counts[:, None]

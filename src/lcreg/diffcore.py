@@ -448,29 +448,36 @@ def grad_check(name, fn, inputs, tolerance=1e-5, step=1e-5, seed=0) -> GradCheck
     tape.backward(loss)
     analytic = [tape.grad(n).copy() for n in nodes]
 
-    def objective(xs):
+    def objective() -> float:
         t = Tape()
-        ns = [t.constant(x) for x in xs]
-        o = fn(t, *ns)
+        o = fn(t, *[t.constant(x) for x in arrays])
         return float((o.data * vec).sum())
 
+    max_rel = _central_difference_error(arrays, analytic, objective, step)
+    return GradCheckReport(name, max_rel, tolerance, max_rel <= tolerance)
+
+
+def _central_difference_error(arrays, grads, objective, step: float) -> float:
+    """Largest relative gap between ``grads`` and central differences of
+    ``objective()``, perturbing each scalar of ``arrays`` in place and
+    restoring it; the error is floored at unit scale."""
     max_rel = 0.0
-    for i, base in enumerate(arrays):
+    for base, grad in zip(arrays, grads):
         flat = base.reshape(-1)
-        an_flat = analytic[i].reshape(-1)
+        an_flat = grad.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            hi = objective(arrays)
+            hi = objective()
             flat[j] = orig - step
-            lo = objective(arrays)
+            lo = objective()
             flat[j] = orig
             numeric = (hi - lo) / (2.0 * step)
             a = an_flat[j]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
             if rel > max_rel:
                 max_rel = rel
-    return GradCheckReport(name, max_rel, tolerance, max_rel <= tolerance)
+    return max_rel
 
 
 # The finite-difference battery: (name, fn, make_inputs) per kernel or

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import tensorio
 from .augment import CategoryStats, isda_upper_bound_loss
-from .diffcore import GradCheckReport, Parameter, ShapeError, Tape, Tensor
+from .diffcore import (GradCheckReport, Parameter, ShapeError, Tape, Tensor,
+                       _central_difference_error)
 from .latent import (
     LatentPool,
     Reconstruction,
@@ -143,15 +144,6 @@ class ModelParams:
     def decay_parameters(self) -> list[Parameter]:
         """Weight decay applies to encoder and decoder groups only."""
         return list(self.encoder) + [self.dec_w, self.dec_b]
-
-    def frozen_stage2(self) -> list[Parameter]:
-        """Groups held fixed during decoder finetuning."""
-        out = list(self.encoder)
-        if self.pool is not None:
-            out += self.pool.parameters()
-        if self.lat_w is not None:
-            out += [self.lat_w, self.lat_b]
-        return out
 
     def stage2_trainable(self) -> list[Parameter]:
         return [self.dec_w, self.dec_b]
@@ -328,8 +320,7 @@ class LossBreakdown:
 def total_loss(tape: Tape, params: ModelParams, x_batch: np.ndarray, labels,
                stats: CategoryStats | None, lam: float,
                weights: LossWeights = LossWeights(),
-               recon_on: bool = True, aug_on: bool = True,
-               label_smoothing: float = 0.0):
+               recon_on: bool = True, aug_on: bool = True):
     """Combined objective. Returns (breakdown, loss node, forward pieces).
 
     Terms behind disabled flags are recorded as exact zeros and contribute
@@ -341,7 +332,7 @@ def total_loss(tape: Tape, params: ModelParams, x_batch: np.ndarray, labels,
     labels = np.asarray(labels, dtype=np.int64)
     want_corr = recon_on and cfg.latent_on and cfg.encoder.positions > 1
     fwd = forward(tape, params, x_batch, with_recon_corr=want_corr)
-    cls = tape.cross_entropy(fwd.logits, labels, label_smoothing=label_smoothing)
+    cls = tape.cross_entropy(fwd.logits, labels)
     loss = tape.scale(cls, weights.gamma)
 
     recon_value = 0.0
@@ -397,20 +388,9 @@ def end_to_end_grad_check(params: ModelParams, x_batch: np.ndarray, labels,
                             recon_on, aug_on)
     tape.backward(loss)
 
-    max_rel = 0.0
-    for p in all_params:
-        flat = p.value.data.reshape(-1)
-        grad = p.grad.data.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            hi = loss_value()
-            flat[j] = orig - step
-            lo = loss_value()
-            flat[j] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            rel = abs(grad[j] - numeric) / max(abs(grad[j]), abs(numeric), 1.0)
-            max_rel = max(max_rel, rel)
+    max_rel = _central_difference_error([p.value.data for p in all_params],
+                                        [p.grad.data for p in all_params],
+                                        loss_value, step)
     return GradCheckReport("end_to_end_total_loss", max_rel, tolerance, max_rel <= tolerance)
 
 

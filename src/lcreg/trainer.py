@@ -4,6 +4,9 @@ Stage 1 trains everything under instance-balanced sampling with the combined
 objective. Stage 2 freezes the encoder and the latent pool and retrains only
 the linear decoder under class-balanced sampling with plain cross-entropy,
 which is what recovers tail-class accuracy after representation learning.
+The frozen groups map each training sample to the same pooled features at
+every step, so stage 2 computes them once and fits the decoder on them as a
+linear probe (classifier re-training, cRT, Kang et al. 2020).
 
 Every stochastic choice is keyed off the run seed through named child
 streams, so a configuration that drops a component leaves the remaining
@@ -50,6 +53,7 @@ from .model import (
 RESULTS_FORMAT_VERSION = 1
 VOLATILE_KEYS = ("created_at", "wall_time_s")
 DIVERGENCE_LIMIT = 1e6
+EVAL_CHUNK = 256  # samples per forward pass when scoring a whole split
 
 
 @dataclass(frozen=True)
@@ -188,15 +192,14 @@ class EvalReport:
         }
 
 
-def evaluate(params: ModelParams, dataset: LongTailDataset,
-             train_counts, chunk: int = 256) -> EvalReport:
+def evaluate(params: ModelParams, dataset: LongTailDataset, train_counts) -> EvalReport:
     """Accuracy on ``dataset``; groups come from the training-set counts."""
     c = dataset.num_classes
     correct = np.zeros(c, dtype=np.int64)
     total = np.zeros(c, dtype=np.int64)
-    for start in range(0, len(dataset.labels), chunk):
-        xb = dataset.samples[start:start + chunk]
-        yb = dataset.labels[start:start + chunk]
+    for start in range(0, len(dataset.labels), EVAL_CHUNK):
+        xb = dataset.samples[start:start + EVAL_CHUNK]
+        yb = dataset.labels[start:start + EVAL_CHUNK]
         logits = forward(Tape(), params, xb).logits.data
         pred = logits.argmax(axis=1)
         np.add.at(correct, yb, pred == yb)
@@ -309,14 +312,12 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
                                stage2_stream_seed(cfg.seed))
         opt2 = SGD(params.stage2_trainable(), cfg.stage2_lr, cfg.momentum,
                    cfg.weight_decay, decay_params=params.stage2_trainable())
+        pooled = forward(Tape(), params, train_ds.samples).pooled.data
         for t in range(cfg.t2_iters):
             idx = next(stream2)
-            xb, yb = train_ds.samples[idx], train_ds.labels[idx]
-            # the frozen groups run on a throwaway tape, so only the
-            # decoder is on the tape that is replayed
-            pooled = forward(Tape(), params, xb).pooled
             tape = Tape()
-            loss = tape.cross_entropy(decode(tape, params, pooled), yb,
+            logits = decode(tape, params, tape.constant(pooled[:, idx]))
+            loss = tape.cross_entropy(logits, train_ds.labels[idx],
                                       label_smoothing=cfg.stage2_smoothing)
             opt2.zero_grad()
             tape.backward(loss)

@@ -104,6 +104,23 @@ class TestMainExitCodes:
         assert code == 2
 
 
+    @pytest.mark.parametrize("setting", [
+        "task.imbalance=0.5", "task.n_max=5", "task.profile=linear",
+        "task.num_classes=1", "task.stdev=0", "task.input_dim=0",
+        "train.hidden=0", "train.feature_dim=1", "train.num_latents=0",
+        "train.lambda0=-1",
+    ])
+    def test_value_a_run_rejects_maps_to_2(self, tmp_path, config_file, capsys,
+                                           setting):
+        out = tmp_path / "r"
+        code = main(["train", "--config", config_file, "--out", str(out),
+                     "--set", setting])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert not (out / "results.json").exists()
+
+
 class TestBuildDataset:
     def test_explicit_out_dir(self, tmp_path, config_file, capsys):
         out = tmp_path / "ds"

@@ -128,13 +128,36 @@ class TestStage2Freezing:
         # move the decoder and nothing else
         stage1 = run_training(tiny_cfg(t2_iters=0), TINY_TASK).params
         both = run_training(tiny_cfg(t2_iters=10), TINY_TASK).params
+        trainable = {p.id for p in both.stage2_trainable()}
         frozen = [(p.id, p.value.data, q.value.data)
-                  for p, q in zip(stage1.frozen_stage2(), both.frozen_stage2())]
+                  for p, q in zip(stage1.parameters(), both.parameters())
+                  if p.id not in trainable]
         assert {pid for pid, _, _ in frozen} >= {"pool.features", "latcls.w", "enc.0.w"}
         for pid, before, after in frozen:
             assert np.array_equal(before, after), pid
         for p, q in zip(stage1.stage2_trainable(), both.stage2_trainable()):
             assert not np.array_equal(p.value.data, q.value.data), p.id
+
+    @pytest.mark.parametrize("flags", [{}, dict(latent_on=False, recon_on=False,
+                                                 aug_on=False, raw_isda=True)])
+    def test_pooled_features_computed_once(self, monkeypatch, flags):
+        # stage 2 is a linear probe: one forward pass over the training
+        # split, however many decoder steps follow
+        calls = []
+        real_forward = trainer.forward
+
+        def counting_forward(*args, **kw):
+            calls.append(1)
+            return real_forward(*args, **kw)
+
+        counts = {}
+        for t2 in (0, 10, 50):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(trainer, "forward", counting_forward)
+                run_training(tiny_cfg(t2_iters=t2, **flags), TINY_TASK)
+            counts[t2] = len(calls)
+        assert counts[10] == counts[50] == counts[0] + 1
 
 
 class TestRunTraining:
