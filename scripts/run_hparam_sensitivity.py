@@ -16,14 +16,12 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from lcreg.cli import ConfigError, load_settings, _format_table
-from lcreg.tensorio import atomic_write
+from lcreg.tensorio import write_json
 from lcreg.trainer import config_dict, run_ablation
 
 DEFAULT_PAIRS = "1,1;0.1,0.1;1,0.1;0.1,1"
@@ -103,16 +101,13 @@ def main(argv=None) -> int:
         print(f"\nspread from best: {spread:.4f} over {len(clean)} clean pairs")
 
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "config": config_dict(cfg, task),
             "seeds": seeds,
             "cells": {f"{a:g},{b:g}": cell for (a, b), cell in cells.items()},
         }
-        with atomic_write(path, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}")
+        write_json(args.out, payload)
+        print(f"wrote {args.out}")
     return 0
 
 

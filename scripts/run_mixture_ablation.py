@@ -17,12 +17,10 @@ Examples:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from lcreg.cli import ConfigError, load_settings, _report_ablation
-from lcreg.tensorio import atomic_write
+from lcreg.tensorio import write_json
 from lcreg.trainer import config_dict, run_ablation
 
 
@@ -65,17 +63,14 @@ def main(argv=None) -> int:
           f"behind latent aug)")
 
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "config": config_dict(cfg, task),
             "seeds": seeds,
             "rows": grid["rows"],
             "summary": summary,
         }
-        with atomic_write(path, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"\nwrote {path}")
+        write_json(args.out, payload)
+        print(f"\nwrote {args.out}")
     return 0
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from dataclasses import asdict, fields
@@ -51,7 +50,7 @@ from .trainer import (
     run_ablation,
     run_training,
 )
-from .tensorio import atomic_write
+from .tensorio import atomic_write, content_hash, write_json
 
 DEFAULT_ABLATION_SEEDS = (0, 1, 2, 3, 4)
 
@@ -66,13 +65,6 @@ class ConfigError(Exception):
 def _coerce(key: str, raw: str, default):
     """Parse ``raw`` to the type of the field's default value."""
     raw = raw.strip()
-    if isinstance(default, bool):
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     if isinstance(default, int):
         try:
             return int(raw)
@@ -165,8 +157,7 @@ def cmd_build_dataset(args) -> int:
     train, test = make_task_data(task, cfg.seed)
     save_dataset(train, out / "train")
     save_dataset(test, out / "test")
-    with atomic_write(out / "task.json", "w") as fh:
-        fh.write(json.dumps(_dataset_params(task, cfg.seed), indent=2, sort_keys=True) + "\n")
+    write_json(out / "task.json", _dataset_params(task, cfg.seed))
     print(out)
     return 0
 
@@ -210,6 +201,10 @@ def _load_params(path: Path, task: TaskSpec, cfg: TrainConfig):
 
 
 def cmd_train(args) -> int:
+    if args.ablate and args.from_cache:
+        print("--from-cache cannot be combined with --ablate "
+              "(the grid synthesizes each seed's data)", file=sys.stderr)
+        return 2
     task, cfg = load_settings(args.config, args.set, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,8 +225,7 @@ def cmd_train(args) -> int:
             return 1
     result = run_training(cfg, task, datasets=datasets)
     record = make_run_record(cfg, task, result)
-    with atomic_write(results_path, "w") as fh:
-        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    write_json(results_path, record)
     with atomic_write(out / "history.jsonl", "w") as fh:
         for i, it in enumerate(result.history["iters"]):
             fh.write(json.dumps({
@@ -256,14 +250,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _ablation_hash(cfg: TrainConfig, task: TaskSpec, seeds) -> str:
-    canon = json.dumps(
-        {"config": config_dict(cfg, task), "seeds": list(seeds)},
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
 def _train_ablation(args, task: TaskSpec, cfg: TrainConfig, out: Path) -> int:
     try:
         seeds = [int(s) for s in str(args.seeds).split(",") if s.strip() != ""]
@@ -274,7 +260,7 @@ def _train_ablation(args, task: TaskSpec, cfg: TrainConfig, out: Path) -> int:
         print("--seeds must name at least one seed", file=sys.stderr)
         return 2
     path = out / "ablation.json"
-    want = _ablation_hash(cfg, task, seeds)
+    want = content_hash({"config": config_dict(cfg, task), "seeds": seeds})
     if _read_run_record(path).get("ablation_hash") == want:
         print(f"ablation up to date for config {want}; skipping")
         return 0
@@ -286,8 +272,7 @@ def _train_ablation(args, task: TaskSpec, cfg: TrainConfig, out: Path) -> int:
         "rows": grid["rows"],
         "summary": grid["summary"],
     }
-    with atomic_write(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
     print(json.dumps(grid["summary"], indent=2, sort_keys=True))
     return 0
 
@@ -387,6 +372,7 @@ def _latent_usage_csv(args, task: TaskSpec, cfg: TrainConfig, path: Path) -> int
         np.add.at(sums, yb, per_sample.T)
         np.add.at(counts, yb, 1.0)
     usage = sums / counts[:, None]
+    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", *[f"latent_{j}" for j in range(m)]])
@@ -453,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=",".join(str(s) for s in DEFAULT_ABLATION_SEEDS),
                    help="comma-separated seeds for --ablate")
     p.add_argument("--from-cache", action="store_true",
-                   help="load datasets from the cache instead of synthesizing")
+                   help="load datasets from the cache instead of synthesizing "
+                        "(not with --ablate)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the balanced test split")

@@ -15,7 +15,6 @@ On-disk corpus layout (one directory per dataset):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensorio import atomic_write
+from .tensorio import atomic_write, content_hash
 
 CORPUS_FORMAT = "lcreg-corpus-v1"
 CACHE_ENV_VAR = "LCREG_CACHE_DIR"
@@ -237,11 +236,6 @@ def cache_root() -> Path:
     return Path(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR))
 
 
-def cache_key(params: dict) -> str:
-    blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def dataset_cache_dir(params: dict) -> Path:
     kind = params.get("data_kind", "dataset")
-    return cache_root() / f"{kind}-{cache_key(params)}"
+    return cache_root() / f"{kind}-{content_hash(params)}"

@@ -80,12 +80,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _smoothed_targets(n: int, c: int, targets: np.ndarray, smoothing: float) -> np.ndarray:
-    q = np.full((n, c), smoothing / c)
-    q[np.arange(n), targets] += 1.0 - smoothing
-    return q
-
-
 class Tape:
     """Recorded computation sequence; replaying it in reverse yields gradients.
 
@@ -201,11 +195,10 @@ class Tape:
 
         return self._record(out, (a,), bwd)
 
-    def cross_entropy(self, logits: Tensor, targets, label_smoothing: float = 0.0) -> Tensor:
+    def cross_entropy(self, logits: Tensor, targets) -> Tensor:
         """Mean softmax cross-entropy over rows with integer index targets.
 
-        Backward is (softmax - targets)/n where targets is the (optionally
-        smoothed) one-hot matrix.
+        Backward is (softmax - onehot(targets))/n.
         """
         if logits.data.ndim != 2:
             raise ShapeError(f"cross_entropy: logits must be 2-d, got {logits.shape}")
@@ -215,19 +208,18 @@ class Tape:
             raise ShapeError(f"cross_entropy: targets shape {t.shape}, expected ({n},)")
         if t.size and (t.min() < 0 or t.max() >= c):
             raise ValueError("cross_entropy: target index out of range")
-        if not 0.0 <= label_smoothing < 1.0:
-            raise ValueError("cross_entropy: label_smoothing must be in [0, 1)")
 
         x = logits.data
+        rows = np.arange(n)
         m = x.max(axis=1, keepdims=True)
         lse = np.log(np.exp(x - m).sum(axis=1, keepdims=True)) + m
-        q = _smoothed_targets(n, c, t, label_smoothing)
-        losses = lse[:, 0] - (q * x).sum(axis=1)
+        losses = lse[:, 0] - x[rows, t]
         out = Tensor(losses.mean())
 
         def bwd(g):
             p = np.exp(x - lse)
-            return ((p - q) * (g.reshape(-1)[0] / n),)
+            p[rows, t] -= 1.0
+            return (p * (g.reshape(-1)[0] / n),)
 
         return self._record(out, (logits,), bwd)
 
@@ -497,9 +489,6 @@ KERNEL_CHECKS = (
     ("softmax_axis0", lambda t, a: t.softmax(a, 0), lambda rand: [rand(4, 3)]),
     ("softmax_axis1", lambda t, a: t.softmax(a, 1), lambda rand: [rand(3, 5)]),
     ("cross_entropy", lambda t, a: t.cross_entropy(a, [0, 2, 1]), lambda rand: [rand(3, 4)]),
-    ("cross_entropy_smoothed",
-     lambda t, a: t.cross_entropy(a, [1, 0, 3], label_smoothing=0.1),
-     lambda rand: [rand(3, 4)]),
     ("linear_map_1x1", lambda t, x, w, b: t.linear_map_1x1(x, w, b),
      lambda rand: [rand(4, 5), rand(3, 4), rand(3)]),
     ("add_rowvec", lambda t, a, v: t.add_rowvec(a, v), lambda rand: [rand(3, 4), rand(4)]),

@@ -1,4 +1,6 @@
-"""Binary container for named float64 tensors, used by every checkpoint.
+"""Binary container for named float64 tensors, used by every checkpoint,
+plus the atomic file write and the two JSON forms every artifact uses: the
+indented file body and the compact canonical bytes that hashes are taken over.
 
 Layout (all integers little-endian):
     magic   4 bytes  b"LCT1"
@@ -12,6 +14,8 @@ Layout (all integers little-endian):
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 import struct
@@ -40,6 +44,25 @@ def atomic_write(path, mode: str = "wb", newline: str | None = None):
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as key-sorted, indented JSON plus a newline, written
+    atomically; the parent directory is created if missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_write(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def canonical_json(payload) -> bytes:
+    """Key-sorted JSON with no whitespace: equal payloads give equal bytes."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+def content_hash(payload) -> str:
+    """First 16 hex digits of the sha256 of :func:`canonical_json`."""
+    return hashlib.sha256(canonical_json(payload)).hexdigest()[:16]
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, int] | None = None) -> Path:

@@ -15,8 +15,6 @@ draws untouched and runs rerun bit-identically.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -49,6 +47,7 @@ from .model import (
     total_loss,
     vector_encoder,
 )
+from .tensorio import canonical_json, content_hash
 
 RESULTS_FORMAT_VERSION = 1
 VOLATILE_KEYS = ("created_at", "wall_time_s")
@@ -75,6 +74,21 @@ class TaskSpec:
             raise ValueError("TaskSpec: test_per_class must be >= 1")
 
 
+# What each training variant turns on; ``TrainConfig.variant`` names one row.
+COMPONENT_GRID: dict[str, dict] = {
+    "baseline": dict(latent_on=False, recon_on=False, aug_on=False, raw_isda=False),
+    "latent": dict(latent_on=True, recon_on=False, aug_on=False, raw_isda=False),
+    "latent_recon": dict(latent_on=True, recon_on=True, aug_on=False, raw_isda=False),
+    "latent_aug": dict(latent_on=True, recon_on=False, aug_on=True, raw_isda=False),
+    "full": dict(latent_on=True, recon_on=True, aug_on=True, raw_isda=False),
+    "raw_isda": dict(latent_on=False, recon_on=False, aug_on=False, raw_isda=True),
+}
+
+
+def _grid_flag(flag: str) -> property:
+    return property(lambda cfg: COMPONENT_GRID[cfg.variant][flag])
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a run needs besides the task itself."""
@@ -94,22 +108,23 @@ class TrainConfig:
     beta: float = 0.1
     gamma: float = 1.0
     seed: int = 0
-    latent_on: bool = True
-    recon_on: bool = True
-    aug_on: bool = True
-    raw_isda: bool = False
+    variant: str = "full"
     stage2_lr: float = 0.01
-    stage2_smoothing: float = 0.0
     log_every: int = 100
+
+    # read-only switches of the variant's COMPONENT_GRID row
+    latent_on = _grid_flag("latent_on")
+    recon_on = _grid_flag("recon_on")
+    aug_on = _grid_flag("aug_on")
+    raw_isda = _grid_flag("raw_isda")
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         object.__setattr__(self, "lr_decay_points",
                            tuple(float(p) for p in self.lr_decay_points))
-        if self.raw_isda and self.latent_on:
-            raise ValueError("TrainConfig: raw_isda replaces the latent branch")
-        if not self.latent_on and (self.recon_on or self.aug_on):
-            raise ValueError("TrainConfig: recon/aug terms need the latent branch")
+        if self.variant not in COMPONENT_GRID:
+            raise ValueError(f"TrainConfig: unknown variant {self.variant!r} "
+                             f"(one of {', '.join(COMPONENT_GRID)})")
         if self.t1_iters < 1 or self.t2_iters < 0 or self.batch_size < 1:
             raise ValueError("TrainConfig: bad loop sizes")
         if self.log_every < 1:
@@ -250,13 +265,14 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
         raise ValueError("run_training: dataset does not match task input_dim")
     params = init_model(model_config(cfg, task), cfg.seed)
     weights = LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
+    recon_on, aug_on, raw_isda = cfg.recon_on, cfg.aug_on, cfg.raw_isda
 
     stats = None
-    if cfg.aug_on:
+    if aug_on:
         stats = init_stats(cfg.num_latents, cfg.feature_dim)
-    elif cfg.raw_isda:
+    elif raw_isda:
         stats = init_stats(task.num_classes, cfg.feature_dim)
-    schedule = AugSchedule(cfg.lambda0, cfg.t1_iters) if (cfg.aug_on or cfg.raw_isda) else None
+    schedule = AugSchedule(cfg.lambda0, cfg.t1_iters) if (aug_on or raw_isda) else None
 
     history = {"iters": [], "total": [], "cls": [], "recon": [], "latent_aug": [],
                "stage2_iters": [], "stage2_cls": []}
@@ -272,7 +288,7 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
         xb, yb = train_ds.samples[idx], train_ds.labels[idx]
         lam = schedule.lambda_at(t + 1) if schedule is not None else 0.0
         tape = Tape()
-        if cfg.raw_isda:
+        if raw_isda:
             # class-conditional stats over pooled features, refreshed before
             # the loss so the bound sees the current batch
             fwd = forward(tape, params, xb)
@@ -286,13 +302,13 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
                                       latent_aug=0.0)
         else:
             breakdown, loss, fwd = total_loss(
-                tape, params, xb, yb, stats if cfg.aug_on else None, lam,
-                weights, recon_on=cfg.recon_on, aug_on=cfg.aug_on,
+                tape, params, xb, yb, stats if aug_on else None, lam,
+                weights, recon_on=recon_on, aug_on=aug_on,
             )
         opt.zero_grad()
         tape.backward(loss)
         opt.step()
-        if cfg.aug_on:
+        if aug_on:
             # each step contributes the current latents as one observation
             # per category, so counts equal the iteration number
             stats = update_stats(stats, params.pool.features.value.data,
@@ -317,8 +333,7 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
             idx = next(stream2)
             tape = Tape()
             logits = decode(tape, params, tape.constant(pooled[:, idx]))
-            loss = tape.cross_entropy(logits, train_ds.labels[idx],
-                                      label_smoothing=cfg.stage2_smoothing)
+            loss = tape.cross_entropy(logits, train_ds.labels[idx])
             opt2.zero_grad()
             tape.backward(loss)
             opt2.step()
@@ -349,8 +364,7 @@ def config_dict(cfg: TrainConfig, task: TaskSpec) -> dict:
 
 
 def config_hash(cfg: TrainConfig, task: TaskSpec) -> str:
-    canon = json.dumps(config_dict(cfg, task), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return content_hash(config_dict(cfg, task))
 
 
 def make_run_record(cfg: TrainConfig, task: TaskSpec, result: TrainResult) -> dict:
@@ -372,35 +386,28 @@ def canonical_record_bytes(record: dict) -> bytes:
     """Record serialization with volatile fields removed; two runs of the
     same config must agree on this byte string exactly."""
     pruned = {k: v for k, v in record.items() if k not in VOLATILE_KEYS}
-    return json.dumps(pruned, sort_keys=True, separators=(",", ":")).encode()
+    return canonical_json(pruned)
 
 
 # -- component ablation ---------------------------------------------------
 
-COMPONENT_GRID: dict[str, dict] = {
-    "baseline": dict(latent_on=False, recon_on=False, aug_on=False, raw_isda=False),
-    "latent": dict(latent_on=True, recon_on=False, aug_on=False, raw_isda=False),
-    "latent_recon": dict(latent_on=True, recon_on=True, aug_on=False, raw_isda=False),
-    "latent_aug": dict(latent_on=True, recon_on=False, aug_on=True, raw_isda=False),
-    "full": dict(latent_on=True, recon_on=True, aug_on=True, raw_isda=False),
-    "raw_isda": dict(latent_on=False, recon_on=False, aug_on=False, raw_isda=True),
-}
-
 
 def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,
                  rows: dict | None = None) -> dict:
-    """Component grid over shared per-seed datasets.
+    """Component grid over shared per-seed datasets. ``rows`` maps each row
+    name to the TrainConfig fields it overrides; by default one row per variant.
 
     Returns {"rows": {name: {"seeds": {seed: metrics-or-error}}},
     "summary": {name: mean metrics over clean runs}}.
     """
-    rows = COMPONENT_GRID if rows is None else rows
+    if rows is None:
+        rows = {name: {"variant": name} for name in COMPONENT_GRID}
     out: dict = {"rows": {}, "summary": {}}
     data_cache = {int(s): make_task_data(task, int(s)) for s in seeds}
-    for name, flags in rows.items():
+    for name, overrides in rows.items():
         per_seed = {}
         for s in seeds:
-            cfg = replace(base_cfg, seed=int(s), **flags)
+            cfg = replace(base_cfg, seed=int(s), **overrides)
             result = run_training(cfg, task, datasets=data_cache[int(s)])
             if result.diverged:
                 per_seed[int(s)] = {"error": "diverged", "at": result.diverged_at}

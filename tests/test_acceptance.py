@@ -313,7 +313,7 @@ def test_08_latent_aug_beats_raw_on_few(component_grid):
 
 def test_09_baseline_recovery_and_determinism():
     task = TaskSpec()
-    plain = TrainConfig(latent_on=False, recon_on=False, aug_on=False, seed=0)
+    plain = TrainConfig(variant="baseline", seed=0)
     train_ds, test_ds = make_task_data(task, plain.seed)
 
     result = run_training(plain, task, datasets=(train_ds, test_ds))
@@ -337,7 +337,7 @@ def test_09_baseline_recovery_and_determinism():
     _verdict(
         "baseline recovery + determinism",
         worst <= 1e-10 and metrics_equal and bytes_equal and params_equal,
-        f"flags-off vs independent classifier: max param diff {worst:.2e} <= 1e-10, "
+        f"baseline variant vs independent classifier: max param diff {worst:.2e} <= 1e-10, "
         f"metrics equal ({metrics_equal}); rerun record bytes identical "
         f"({bytes_equal}), parameters bit-identical ({params_equal})",
     )

@@ -9,7 +9,8 @@ import pytest
 
 from lcreg import cli, diffcore, tensorio
 from lcreg.cli import ConfigError, load_settings, main
-from lcreg.trainer import canonical_record_bytes
+from lcreg.data import dataset_cache_dir
+from lcreg.trainer import COMPONENT_GRID, canonical_record_bytes
 
 TINY_SETTINGS = """\
 # small task for fast runs
@@ -72,7 +73,7 @@ class TestSettings:
         with pytest.raises(ConfigError):
             load_settings(config_file, ["train.lr=fast"])
         with pytest.raises(ConfigError):
-            load_settings(config_file, ["train.latent_on=maybe"])
+            load_settings(config_file, ["train.hidden=12,wide"])
         with pytest.raises(ConfigError):
             load_settings(config_file, ["train.t1_iters=3.5"])
 
@@ -82,9 +83,23 @@ class TestSettings:
         assert cfg.hidden == (64, 32)
         assert cfg.lr_decay_points == (0.5, 0.75)
 
-    def test_invalid_combination_is_config_error(self):
-        with pytest.raises(ConfigError):
-            load_settings(None, ["train.raw_isda=true"])  # latent_on still true
+    def test_unknown_variant_is_config_error(self, tmp_path, config_file, capsys):
+        out = tmp_path / "r"
+        code = main(["train", "--config", config_file, "--out", str(out),
+                     "--set", "train.variant=latent_isda"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert "unknown variant" in err[0]
+
+    @pytest.mark.parametrize("setting", ["train.aug_on=false",
+                                         "train.stage2_smoothing=0.1"])
+    def test_removed_keys_are_unknown(self, tmp_path, config_file, capsys, setting):
+        code = main(["train", "--config", config_file, "--out", str(tmp_path / "r"),
+                     "--set", setting])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and "unknown key" in err[0], err
 
     def test_missing_config_file(self):
         with pytest.raises(ConfigError):
@@ -132,6 +147,12 @@ class TestBuildDataset:
         assert task_meta["task"]["num_classes"] == 6
         assert str(out) in capsys.readouterr().out
 
+    def test_default_cache_dir_name_is_pinned(self):
+        # the content hash of the dataset parameters names the cache directory;
+        # a change to the canonical JSON form would orphan every built cache
+        params = cli._dataset_params(cli.TaskSpec(), 0)
+        assert dataset_cache_dir(params).name == "dataset-0f0b9a91e4fd7e0c"
+
     def test_cache_dir_from_env(self, tmp_path, config_file, monkeypatch, capsys):
         monkeypatch.setenv("LCREG_CACHE_DIR", str(tmp_path / "cache"))
         assert main(["build-dataset", "--config", config_file]) == 0
@@ -170,6 +191,26 @@ class TestTrain:
                      "--set", "train.lr=0.01"]) == 0
         second = json.loads((out / "results.json").read_text())["config_hash"]
         assert first != second
+
+    @pytest.mark.parametrize("name", list(COMPONENT_GRID))
+    def test_each_variant_trains_from_one_setting(self, tmp_path, config_file,
+                                                  capsys, name):
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out),
+                     "--set", f"train.variant={name}"]) == 0
+        record = json.loads((out / "results.json").read_text())
+        assert record["config"]["train"]["variant"] == name
+
+    def test_from_cache_with_ablate_is_usage_error(self, tmp_path, config_file,
+                                                   monkeypatch, capsys):
+        monkeypatch.setenv("LCREG_CACHE_DIR", str(tmp_path / "cache"))
+        out = tmp_path / "grid"
+        code = main(["train", "--config", config_file, "--out", str(out),
+                     "--ablate", "--seeds", "0", "--from-cache"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.splitlines()) == 1 and "--from-cache" in captured.err
+        assert not out.exists()
 
     def test_from_cache_miss_is_failure(self, tmp_path, config_file, monkeypatch, capsys):
         monkeypatch.setenv("LCREG_CACHE_DIR", str(tmp_path / "cache"))
@@ -300,13 +341,13 @@ class TestEval:
     def test_stats_flag_without_stats_fails_cleanly(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
         assert main(["train", "--config", config_file, "--out", str(out),
-                     "--set", "train.aug_on=false"]) == 0
+                     "--set", "train.variant=latent_recon"]) == 0
         tensors, meta = tensorio.load_tensors(out / "model.lct")
         assert meta["has_stats"] == 0
         bad = tmp_path / "bad.lct"
         tensorio.save_tensors(bad, tensors, dict(meta, has_stats=1))
         capsys.readouterr()
-        assert main(["eval", "--config", config_file, "--set", "train.aug_on=false",
+        assert main(["eval", "--config", config_file, "--set", "train.variant=latent_recon",
                      "--model", str(bad)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "missing tensor stats.count" in err[0]
@@ -396,6 +437,15 @@ class TestReport:
             assert len(vals) == 4
             assert abs(sum(vals) - 1.0) <= 1e-9
 
+    def test_histogram_csv_creates_its_directory(self, tmp_path, config_file, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out)]) == 0
+        csv_path = tmp_path / "missing" / "nested" / "usage.csv"
+        assert main(["report", "--config", config_file,
+                     "--model", str(out / "model.lct"),
+                     "--histogram-csv", str(csv_path)]) == 0
+        assert len(csv_path.read_text().splitlines()) == 1 + 6
+
     def test_histogram_needs_model(self, tmp_path, config_file):
         assert main(["report", "--config", config_file,
                      "--histogram-csv", str(tmp_path / "u.csv")]) == 2
@@ -403,13 +453,9 @@ class TestReport:
     def test_histogram_without_latents_fails(self, tmp_path, config_file, capsys):
         out = tmp_path / "plain"
         assert main(["train", "--config", config_file, "--out", str(out),
-                     "--set", "train.latent_on=false",
-                     "--set", "train.recon_on=false",
-                     "--set", "train.aug_on=false"]) == 0
+                     "--set", "train.variant=baseline"]) == 0
         code = main(["report", "--config", config_file,
-                     "--set", "train.latent_on=false",
-                     "--set", "train.recon_on=false",
-                     "--set", "train.aug_on=false",
+                     "--set", "train.variant=baseline",
                      "--model", str(out / "model.lct"),
                      "--histogram-csv", str(tmp_path / "u.csv")])
         assert code == 1
@@ -441,6 +487,11 @@ class TestAtomicWrites:
                 raise RuntimeError("crash part-way through the write")
         assert path.read_text() == '{"old": true}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
+
+    def test_write_json_bytes(self, tmp_path):
+        path = tmp_path / "new" / "r.json"
+        tensorio.write_json(path, {"b": 1, "a": [1, 2]})
+        assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
 
     def test_failed_checkpoint_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.lct"

@@ -38,15 +38,16 @@ def tiny_cfg(**kw):
 
 
 class TestConfigValidation:
-    def test_raw_isda_excludes_latent_branch(self):
-        with pytest.raises(ValueError):
-            TrainConfig(raw_isda=True, latent_on=True)
+    def test_variant_must_name_a_grid_row(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            TrainConfig(variant="latent_isda")
 
-    def test_extra_terms_need_latent_branch(self):
-        with pytest.raises(ValueError):
-            TrainConfig(latent_on=False, recon_on=True, aug_on=False)
-        with pytest.raises(ValueError):
-            TrainConfig(latent_on=False, recon_on=False, aug_on=True)
+    @pytest.mark.parametrize("name", list(COMPONENT_GRID))
+    def test_variant_matches_exactly_one_grid_row(self, name):
+        cfg = TrainConfig(variant=name)
+        matches = [row for row, flags in COMPONENT_GRID.items()
+                   if all(getattr(cfg, k) == v for k, v in flags.items())]
+        assert matches == [name]
 
     def test_loop_sizes_checked(self):
         with pytest.raises(ValueError):
@@ -138,8 +139,7 @@ class TestStage2Freezing:
         for p, q in zip(stage1.stage2_trainable(), both.stage2_trainable()):
             assert not np.array_equal(p.value.data, q.value.data), p.id
 
-    @pytest.mark.parametrize("flags", [{}, dict(latent_on=False, recon_on=False,
-                                                 aug_on=False, raw_isda=True)])
+    @pytest.mark.parametrize("flags", [{}, dict(variant="raw_isda")])
     def test_pooled_features_computed_once(self, monkeypatch, flags):
         # stage 2 is a linear probe: one forward pass over the training
         # split, however many decoder steps follow
@@ -177,7 +177,7 @@ class TestRunTraining:
         assert np.all(result.stats.count == cfg.t1_iters)
 
     def test_raw_isda_path(self):
-        cfg = tiny_cfg(latent_on=False, recon_on=False, aug_on=False, raw_isda=True)
+        cfg = tiny_cfg(variant="raw_isda")
         result = run_training(cfg, TINY_TASK)
         assert not result.diverged
         assert result.report is not None
@@ -233,8 +233,7 @@ class TestEvaluate:
 
 class TestBaselineEquivalence:
     def test_flags_off_matches_independent_implementation(self):
-        cfg = tiny_cfg(latent_on=False, recon_on=False, aug_on=False,
-                       t1_iters=120, t2_iters=30, stage2_smoothing=0.1)
+        cfg = tiny_cfg(variant="baseline", t1_iters=120, t2_iters=30)
         train, test = make_task_data(TINY_TASK, cfg.seed)
         result = run_training(cfg, TINY_TASK, datasets=(train, test))
         model, report = train_baseline(cfg, train, test)
@@ -248,9 +247,7 @@ class TestBaselineEquivalence:
                                    rtol=0, atol=1e-12)
 
     def test_shared_initialization_draws(self):
-        params = init_model(trainer.model_config(tiny_cfg(latent_on=False,
-                                                           recon_on=False,
-                                                           aug_on=False),
+        params = init_model(trainer.model_config(tiny_cfg(variant="baseline"),
                                                   TINY_TASK), seed=9)
         model = init_baseline(5, (12,), 8, 6, seed=9)
         named = model.named()
