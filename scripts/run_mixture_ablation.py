@@ -21,7 +21,7 @@ import sys
 
 from lcreg.cli import ConfigError, load_settings, _report_ablation
 from lcreg.tensorio import write_json
-from lcreg.trainer import config_dict, run_ablation
+from lcreg.trainer import grid_config_dict, run_ablation
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -64,7 +64,7 @@ def main(argv=None) -> int:
 
     if args.out:
         payload = {
-            "config": config_dict(cfg, task),
+            "config": grid_config_dict(cfg, task),
             "seeds": seeds,
             "rows": grid["rows"],
             "summary": summary,

@@ -41,9 +41,10 @@ from .trainer import (
     EVAL_CHUNK,
     TaskSpec,
     TrainConfig,
-    config_dict,
+    RESULTS_FORMAT_VERSION,
     config_hash,
     evaluate,
+    grid_config_dict,
     make_run_record,
     make_task_data,
     model_config,
@@ -214,7 +215,8 @@ def cmd_train(args) -> int:
     results_path = out / "results.json"
     want_hash = config_hash(cfg, task)
     existing = _read_run_record(results_path)
-    if existing.get("config_hash") == want_hash and not existing.get("diverged"):
+    if (existing.get("format_version") == RESULTS_FORMAT_VERSION
+            and existing.get("config_hash") == want_hash and not existing.get("diverged")):
         print(f"results up to date for config {want_hash}; skipping")
         return 0
 
@@ -227,19 +229,7 @@ def cmd_train(args) -> int:
     record = make_run_record(cfg, task, result)
     write_json(results_path, record)
     with atomic_write(out / "history.jsonl", "w") as fh:
-        for i, it in enumerate(result.history["iters"]):
-            fh.write(json.dumps({
-                "stage": 1, "iter": it,
-                "total": result.history["total"][i],
-                "cls": result.history["cls"][i],
-                "recon": result.history["recon"][i],
-                "latent_aug": result.history["latent_aug"][i],
-            }) + "\n")
-        for i, it in enumerate(result.history["stage2_iters"]):
-            fh.write(json.dumps({
-                "stage": 2, "iter": it,
-                "cls": result.history["stage2_cls"][i],
-            }) + "\n")
+        fh.writelines(json.dumps(row) + "\n" for row in result.history)
     if result.diverged:
         print(f"training diverged at iteration {result.diverged_at}; "
               f"record written to {results_path}", file=sys.stderr)
@@ -260,14 +250,15 @@ def _train_ablation(args, task: TaskSpec, cfg: TrainConfig, out: Path) -> int:
         print("--seeds must name at least one seed", file=sys.stderr)
         return 2
     path = out / "ablation.json"
-    want = content_hash({"config": config_dict(cfg, task), "seeds": seeds})
+    config = grid_config_dict(cfg, task)
+    want = content_hash({"config": config, "seeds": seeds})
     if _read_run_record(path).get("ablation_hash") == want:
         print(f"ablation up to date for config {want}; skipping")
         return 0
     grid = run_ablation(cfg, task, seeds)
     payload = {
         "ablation_hash": want,
-        "config": config_dict(cfg, task),
+        "config": config,
         "seeds": seeds,
         "rows": grid["rows"],
         "summary": grid["summary"],
@@ -327,7 +318,7 @@ def _format_table(headers, rows) -> str:
 
 
 def _report_single(record: dict) -> str:
-    metrics = record.get("metrics")
+    metrics = record["metrics"]
     if metrics is None:
         return "run diverged; no metrics"
     rows = [[label, f"{metrics[label]:.4f}"]

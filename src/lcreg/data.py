@@ -237,5 +237,4 @@ def cache_root() -> Path:
 
 
 def dataset_cache_dir(params: dict) -> Path:
-    kind = params.get("data_kind", "dataset")
-    return cache_root() / f"{kind}-{content_hash(params)}"
+    return cache_root() / f"dataset-{content_hash(params)}"

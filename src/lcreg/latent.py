@@ -99,11 +99,11 @@ class Reconstruction:
 
 
 def reconstruct(tape: Tape, sims: SimilarityStack, f: Tensor,
-                positions_per_sample: int | None = None) -> Reconstruction:
+                positions_per_sample: int) -> Reconstruction:
     """f_hat = encoded^T @ normalized; correlation per sample block of P columns."""
     f_hat = tape.matmul(tape.transpose(sims.encoded), sims.normalized)
-    p = f.shape[1] if positions_per_sample is None else int(positions_per_sample)
-    return Reconstruction(f_hat=f_hat, corr=tape.block_correlation(f_hat, f, p))
+    corr = tape.block_correlation(f_hat, f, positions_per_sample)
+    return Reconstruction(f_hat=f_hat, corr=corr)
 
 
 def reconstruction_loss(tape: Tape, recon: Reconstruction) -> Tensor:

@@ -49,7 +49,7 @@ from .model import (
 )
 from .tensorio import canonical_json, content_hash
 
-RESULTS_FORMAT_VERSION = 1
+RESULTS_FORMAT_VERSION = 2
 VOLATILE_KEYS = ("created_at", "wall_time_s")
 DIVERGENCE_LIMIT = 1e6
 EVAL_CHUNK = 256  # samples per forward pass when scoring a whole split
@@ -243,7 +243,7 @@ def evaluate(params: ModelParams, dataset: LongTailDataset, train_counts) -> Eva
 class TrainResult:
     params: ModelParams
     stats: CategoryStats | None
-    history: dict
+    history: list[dict]  # logged steps: stage, iter, then that stage's losses
     report: EvalReport | None
     diverged: bool
     diverged_at: int | None
@@ -274,8 +274,7 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
         stats = init_stats(task.num_classes, cfg.feature_dim)
     schedule = AugSchedule(cfg.lambda0, cfg.t1_iters) if (aug_on or raw_isda) else None
 
-    history = {"iters": [], "total": [], "cls": [], "recon": [], "latent_aug": [],
-               "stage2_iters": [], "stage2_cls": []}
+    history: list[dict] = []
     diverged = False
     diverged_at = None
 
@@ -317,11 +316,7 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
             diverged, diverged_at = True, t
             break
         if (t + 1) % cfg.log_every == 0 or t + 1 == cfg.t1_iters:
-            history["iters"].append(t + 1)
-            history["total"].append(breakdown.total)
-            history["cls"].append(breakdown.cls)
-            history["recon"].append(breakdown.recon)
-            history["latent_aug"].append(breakdown.latent_aug)
+            history.append({"stage": 1, "iter": t + 1, **asdict(breakdown)})
 
     if not diverged and cfg.t2_iters > 0:
         stream2 = batch_stream(train_ds, "class_balanced", cfg.batch_size,
@@ -342,8 +337,7 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
                 diverged, diverged_at = True, cfg.t1_iters + t
                 break
             if (t + 1) % cfg.log_every == 0 or t + 1 == cfg.t2_iters:
-                history["stage2_iters"].append(t + 1)
-                history["stage2_cls"].append(value)
+                history.append({"stage": 2, "iter": t + 1, "cls": value})
 
     report = None if diverged else evaluate(params, test_ds, train_ds.counts)
     return TrainResult(
@@ -390,6 +384,14 @@ def canonical_record_bytes(record: dict) -> bytes:
 
 
 # -- component ablation ---------------------------------------------------
+
+
+def grid_config_dict(cfg: TrainConfig, task: TaskSpec) -> dict:
+    """The config the component grid stores and hashes: ``config_dict``
+    without ``train.variant``, which every grid row overrides."""
+    d = config_dict(cfg, task)
+    del d["train"]["variant"]
+    return d
 
 
 def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,

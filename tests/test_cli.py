@@ -166,7 +166,7 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--config", config_file, "--out", str(out)]) == 0
         record = json.loads((out / "results.json").read_text())
-        assert record["format_version"] == 1
+        assert record["format_version"] == 2
         assert not record["diverged"]
         assert (out / "model.lct").exists()
         lines = (out / "history.jsonl").read_text().splitlines()
@@ -182,6 +182,31 @@ class TestTrain:
         assert main(["train", "--config", config_file, "--out", str(out)]) == 0
         assert "skipping" in capsys.readouterr().out
         assert (out / "results.json").read_bytes() == before
+
+    @pytest.mark.parametrize("variant", ["full", "raw_isda"])
+    def test_history_lines_are_the_record_rows(self, tmp_path, config_file, variant):
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out),
+                     "--set", f"train.variant={variant}"]) == 0
+        record = json.loads((out / "results.json").read_text())
+        lines = (out / "history.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == record["history"]
+        assert [(r["stage"], r["iter"]) for r in record["history"]] == [
+            (1, 20), (1, 40), (2, 10)]
+
+    def test_older_format_record_is_rerun_once(self, tmp_path, config_file, capsys):
+        out = tmp_path / "run"
+        args = ["train", "--config", config_file, "--out", str(out)]
+        assert main(args) == 0
+        record = json.loads((out / "results.json").read_text())
+        record["format_version"] = 1  # same config_hash, older history layout
+        (out / "results.json").write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "skipping" not in capsys.readouterr().out
+        assert json.loads((out / "results.json").read_text())["format_version"] == 2
+        assert main(args) == 0
+        assert "skipping" in capsys.readouterr().out
 
     def test_config_change_triggers_rerun(self, tmp_path, config_file):
         out = tmp_path / "run"
@@ -288,6 +313,21 @@ class TestAblate:
         capsys.readouterr()
         assert main(args) == 0
         assert "skipping" in capsys.readouterr().out
+
+    def test_variant_setting_does_not_rerun_grid(self, tmp_path, config_file, capsys):
+        # every grid row sets its own variant, so the base value is not
+        # part of the grid's stored config or hash
+        out = tmp_path / "grid"
+        args = ["train", "--config", config_file, "--out", str(out),
+                "--ablate", "--seeds", "0",
+                "--set", "train.t1_iters=10", "--set", "train.t2_iters=2"]
+        assert main(args) == 0
+        payload = json.loads((out / "ablation.json").read_text())
+        assert "variant" not in payload["config"]["train"]
+        capsys.readouterr()
+        assert main([*args, "--set", "train.variant=raw_isda"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("ablation up to date") and "skipping" in printed
 
     def test_corrupt_ablation_file_is_rerun(self, tmp_path, config_file, capsys):
         out = tmp_path / "grid"
@@ -408,6 +448,20 @@ class TestReport:
 
     def test_record_without_accuracies_fails_cleanly(self, tmp_path, capsys):
         self._assert_malformed(tmp_path, capsys, '{"metrics": {}}')
+
+    @pytest.mark.parametrize("text", [
+        "{}",
+        # the --out file of scripts/run_hparam_sensitivity.py: cells, not rows
+        '{"config": {}, "seeds": [0], "cells": {"1,1": {"overall": 0.5}}}',
+    ])
+    def test_non_record_fails_cleanly(self, tmp_path, capsys, text):
+        self._assert_malformed(tmp_path, capsys, text)
+
+    def test_diverged_record_reports_divergence(self, tmp_path, capsys):
+        path = tmp_path / "results.json"
+        path.write_text('{"metrics": null, "diverged": true}')
+        assert main(["report", "--results", str(path)]) == 0
+        assert "run diverged" in capsys.readouterr().out
 
     @staticmethod
     def _assert_malformed(tmp_path, capsys, text):

@@ -181,12 +181,13 @@ def test_corpus_rejects_corrupt_payload(tmp_path):
 
 def test_cache_dir_respects_env(tmp_path, monkeypatch):
     monkeypatch.setenv(data.CACHE_ENV_VAR, str(tmp_path / "cache"))
-    d1 = data.dataset_cache_dir({"data_kind": "mixture", "seed": 1})
-    d2 = data.dataset_cache_dir({"data_kind": "mixture", "seed": 1})
-    d3 = data.dataset_cache_dir({"data_kind": "mixture", "seed": 2})
+    d1 = data.dataset_cache_dir({"seed": 1})
+    d2 = data.dataset_cache_dir({"seed": 1})
+    d3 = data.dataset_cache_dir({"seed": 2})
     assert d1 == d2
     assert d1 != d3
-    assert str(d1).startswith(str(tmp_path / "cache"))
+    assert d1.parent == tmp_path / "cache"
+    assert d1.name.startswith("dataset-")
 
 
 def test_dataset_validation():

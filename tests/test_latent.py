@@ -72,7 +72,7 @@ def test_reconstruction_shapes_and_loss_runs():
     tape = Tape()
     node = tape.constant(f)
     sims = similarity_maps(tape, pool, node)
-    recon = reconstruct(tape, sims, node)
+    recon = reconstruct(tape, sims, node, positions_per_sample=16)
     assert recon.f_hat.shape == (8, 16)
     assert recon.corr.shape == (16, 16)  # one sample: its whole correlation matrix
     loss = reconstruction_loss(tape, recon)
@@ -130,7 +130,7 @@ def test_pool_features_receive_gradient_from_recon_loss():
     tape = Tape()
     node = tape.constant(f)
     sims = similarity_maps(tape, pool, node)
-    recon = reconstruct(tape, sims, node)
+    recon = reconstruct(tape, sims, node, positions_per_sample=9)
     loss = reconstruction_loss(tape, recon)
     tape.backward(loss)
     assert np.abs(pool.features.grad.data).max() > 0.0
@@ -169,7 +169,7 @@ def test_permutation_equivariance():
         tape = Tape()
         node = tape.constant(f)
         sims = similarity_maps(tape, p, node)
-        recon = reconstruct(tape, sims, node)
+        recon = reconstruct(tape, sims, node, positions_per_sample=4)
         loss = reconstruction_loss(tape, recon)
         return sims.normalized.data.copy(), loss.item()
 
@@ -215,7 +215,7 @@ def test_optimizing_recon_loss_decreases_it():
         tape = Tape()
         node = tape.constant(f)
         sims = similarity_maps(tape, pool, node)
-        recon = reconstruct(tape, sims, node)
+        recon = reconstruct(tape, sims, node, positions_per_sample=9)
         loss = reconstruction_loss(tape, recon)
         losses.append(loss.item())
         for p in pool.parameters():

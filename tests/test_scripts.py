@@ -36,3 +36,6 @@ def test_study_writes_json(tmp_path, script, extra):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(out.read_text())
     assert payload["seeds"] == [0]
+    if script == "run_mixture_ablation.py":
+        # every grid row sets its own variant, so the stored config omits it
+        assert "variant" not in payload["config"]["train"]

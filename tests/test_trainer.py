@@ -167,8 +167,10 @@ class TestRunTraining:
         assert not result.diverged
         assert result.report is not None
         assert 0.0 <= result.report.overall <= 1.0
-        assert len(result.history["iters"]) == 2  # 40 iters, log every 20
-        assert len(result.history["stage2_iters"]) == 1
+        # 40 stage-1 iters and 10 stage-2 iters, logged every 20 and at the end
+        assert [(r["stage"], r["iter"]) for r in result.history] == [(1, 20), (1, 40), (2, 10)]
+        assert set(result.history[0]) == {"stage", "iter", "total", "cls", "recon", "latent_aug"}
+        assert set(result.history[-1]) == {"stage", "iter", "cls"}
         assert result.stats is not None
 
     def test_aug_stats_counts_equal_iterations(self):
@@ -275,7 +277,7 @@ class TestRecords:
         cfg = tiny_cfg()
         result = run_training(cfg, TINY_TASK)
         record = make_run_record(cfg, TINY_TASK, result)
-        assert record["format_version"] == 1
+        assert record["format_version"] == 2
         assert record["config"]["train"]["num_latents"] == 4
         assert record["config"]["task"]["num_classes"] == 6
         assert set(record["metrics"]) >= {"overall", "many", "medium", "few"}
