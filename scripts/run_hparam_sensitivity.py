@@ -2,10 +2,11 @@
 """Loss-weight sensitivity sweep for the full model.
 
 Trains the full model at each (alpha, beta) pair over a set of seeds with
-shared per-seed data, then reports mean overall/few accuracy per pair and the
-spread from the best configuration. A flat table is the expected outcome: the
-combined objective should tolerate order-of-magnitude changes in the
-reconstruction and augmentation weights.
+shared per-seed data, then prints the grid table (mean ± std per pair, row
+``"alpha,beta"``) and the spread of mean overall accuracy from the best pair.
+A flat table is the expected outcome: the combined objective should tolerate
+order-of-magnitude changes in the reconstruction and augmentation weights.
+``--out`` keeps the grid file, which ``lcreg report --results`` formats.
 
 Examples:
     python3 scripts/run_hparam_sensitivity.py
@@ -18,11 +19,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from lcreg.cli import ConfigError, load_settings, _format_table
+from lcreg.cli import DEFAULT_SEEDS, ConfigError, format_grid, load_settings, parse_seeds
 from lcreg.tensorio import write_json
-from lcreg.trainer import config_dict, run_ablation
+from lcreg.trainer import run_ablation
 
 DEFAULT_PAIRS = "1,1;0.1,0.1;1,0.1;0.1,1"
 
@@ -45,11 +44,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap.add_argument("--config", help="flat key=value configuration file")
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="override a task.* or train.* setting")
-    ap.add_argument("--seeds", default="0,1,2,3,4",
+    ap.add_argument("--seeds", default=DEFAULT_SEEDS,
                     help="comma-separated run seeds")
     ap.add_argument("--pairs", default=DEFAULT_PAIRS,
                     help='semicolon-separated "alpha,beta" pairs')
-    ap.add_argument("--out", help="also write per-pair results as JSON here")
+    ap.add_argument("--out", help="also write the grid file here")
     return ap.parse_args(argv)
 
 
@@ -57,56 +56,21 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         task, cfg = load_settings(args.config, args.set)
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+        seeds = parse_seeds(args.seeds)
         pairs = parse_pairs(args.pairs)
     except (ConfigError, ValueError) as err:
         print(err, file=sys.stderr)
         return 2
-    if not seeds:
-        print("--seeds must name at least one seed", file=sys.stderr)
-        return 2
 
-    grid = run_ablation(cfg, task, seeds,
-                        rows={(a, b): dict(alpha=a, beta=b) for a, b in pairs})
-    cells = {}
-    for pair, row in grid["rows"].items():
-        runs = [m for m in row["seeds"].values() if "error" not in m]
-        overalls = [m["overall"] for m in runs]
-        fews = [m["few"] for m in runs]
-        cells[pair] = {
-            "overall": float(np.mean(overalls)) if overalls else None,
-            "overall_std": float(np.std(overalls)) if overalls else None,
-            "few": float(np.mean(fews)) if fews else None,
-            "diverged": len(seeds) - len(runs),
-        }
-
-    clean = {p: c for p, c in cells.items() if c["overall"] is not None}
-    best = max(c["overall"] for c in clean.values()) if clean else float("nan")
-    rows = []
-    for (a, b), cell in cells.items():
-        if cell["overall"] is None:
-            rows.append([f"({a:g}, {b:g})", "diverged", "", "", ""])
-            continue
-        rows.append([
-            f"({a:g}, {b:g})",
-            f"{cell['overall']:.4f} ± {cell['overall_std']:.4f}",
-            f"{cell['few']:.4f}",
-            f"{cell['overall'] - best:+.4f}",
-            str(cell["diverged"]),
-        ])
-    print(_format_table(
-        ["(alpha, beta)", "overall", "few", "vs best", "diverged"], rows))
-    if clean:
-        spread = best - min(c["overall"] for c in clean.values())
-        print(f"\nspread from best: {spread:.4f} over {len(clean)} clean pairs")
-
+    rows = {f"{a:g},{b:g}": dict(variant="full", alpha=a, beta=b) for a, b in pairs}
+    grid = run_ablation(cfg, task, seeds, rows=rows)
+    print(format_grid(grid))
+    overalls = [s["overall"] for s in grid["summary"].values() if s["num_clean"]]
+    if overalls:
+        print(f"\nspread from best: {max(overalls) - min(overalls):.4f} "
+              f"over {len(overalls)} clean pairs")
     if args.out:
-        payload = {
-            "config": config_dict(cfg, task),
-            "seeds": seeds,
-            "cells": {f"{a:g},{b:g}": cell for (a, b), cell in cells.items()},
-        }
-        write_json(args.out, payload)
+        write_json(args.out, grid)
         print(f"wrote {args.out}")
     return 0
 

@@ -38,6 +38,7 @@ from .model import (
     save_model,
 )
 from .trainer import (
+    COMPONENT_ROWS,
     EVAL_CHUNK,
     TaskSpec,
     TrainConfig,
@@ -53,11 +54,25 @@ from .trainer import (
 )
 from .tensorio import atomic_write, content_hash, write_json
 
-DEFAULT_ABLATION_SEEDS = (0, 1, 2, 3, 4)
+DEFAULT_SEEDS = "0,1,2,3,4"  # --seeds of every study grid
 
 
 class ConfigError(Exception):
     pass
+
+
+def parse_seeds(raw: str) -> list[int]:
+    """A ``--seeds`` value: comma-separated integers, at least one, none
+    repeated."""
+    try:
+        seeds = [int(s) for s in raw.split(",") if s.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"bad --seeds value: {raw!r}")
+    if not seeds:
+        raise ConfigError("--seeds must name at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"--seeds repeats a seed: {raw!r}")
+    return seeds
 
 
 # -- flat key=value configuration -----------------------------------------
@@ -241,29 +256,15 @@ def cmd_train(args) -> int:
 
 
 def _train_ablation(args, task: TaskSpec, cfg: TrainConfig, out: Path) -> int:
-    try:
-        seeds = [int(s) for s in str(args.seeds).split(",") if s.strip() != ""]
-    except ValueError:
-        print(f"bad --seeds value: {args.seeds!r}", file=sys.stderr)
-        return 2
-    if not seeds:
-        print("--seeds must name at least one seed", file=sys.stderr)
-        return 2
+    seeds = parse_seeds(args.seeds)
     path = out / "ablation.json"
-    config = grid_config_dict(cfg, task)
-    want = content_hash({"config": config, "seeds": seeds})
+    want = content_hash({"config": grid_config_dict(cfg, task, COMPONENT_ROWS),
+                         "seeds": seeds})
     if _read_run_record(path).get("ablation_hash") == want:
         print(f"ablation up to date for config {want}; skipping")
         return 0
     grid = run_ablation(cfg, task, seeds)
-    payload = {
-        "ablation_hash": want,
-        "config": config,
-        "seeds": seeds,
-        "rows": grid["rows"],
-        "summary": grid["summary"],
-    }
-    write_json(path, payload)
+    write_json(path, {"ablation_hash": want, **grid})
     print(json.dumps(grid["summary"], indent=2, sort_keys=True))
     return 0
 
@@ -280,6 +281,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        print("--instances must be at least 1", file=sys.stderr)
+        return 2
     failed = False
     for report in standard_kernel_checks(instances=args.instances):
         mark = "ok" if report.passed else "FAIL"
@@ -326,21 +330,26 @@ def _report_single(record: dict) -> str:
     return _format_table(["label", "accuracy"], rows)
 
 
-def _report_ablation(payload: dict) -> str:
+def format_grid(grid: dict) -> str:
+    """Table of a study grid file: mean ± std of each row over its clean
+    seeds and, when the grid has a ``baseline`` row, each row's overall and
+    few delta against that row's means."""
     labels = ("overall", "many", "medium", "few")
-    rows = []
-    for name, cell in payload["rows"].items():
+    rows, means = [], {}
+    for name, cell in grid["rows"].items():
         clean = [m for m in cell["seeds"].values() if "error" not in m]
-        row = [name]
-        for label in labels:
-            if clean:
-                vals = np.array([m[label] for m in clean])
-                row.append(f"{vals.mean():.4f} ± {vals.std():.4f}")
-            else:
-                row.append("diverged")
-        row.append(f"{len(clean)}/{len(cell['seeds'])}")
-        rows.append(row)
-    return _format_table(["variant", *labels, "clean"], rows)
+        vals = {label: np.array([m[label] for m in clean]) for label in labels}
+        rows.append([name, *(f"{v.mean():.4f} ± {v.std():.4f}" if clean else "diverged"
+                             for v in vals.values()),
+                     f"{len(clean)}/{len(cell['seeds'])}"])
+        means[name] = {label: v.mean() for label, v in vals.items()} if clean else None
+    headers = ["variant", *labels, "clean"]
+    base = means.get("baseline")
+    if base is not None:
+        headers += ["Δ overall", "Δ few"]
+        for row, mean in zip(rows, means.values()):
+            row += [f"{mean[k] - base[k]:+.4f}" if mean else "" for k in ("overall", "few")]
+    return _format_table(headers, rows)
 
 
 def _latent_usage_csv(args, task: TaskSpec, cfg: TrainConfig, path: Path) -> int:
@@ -396,7 +405,7 @@ def cmd_report(args) -> int:
         print(f"results file {path} does not hold a JSON object", file=sys.stderr)
         return 1
     try:
-        text = _report_ablation(payload) if "rows" in payload else _report_single(payload)
+        text = format_grid(payload) if "rows" in payload else _report_single(payload)
     except (KeyError, TypeError, AttributeError, ValueError) as e:
         print(f"results file {path} is malformed: {e!r}", file=sys.stderr)
         return 1
@@ -427,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--ablate", action="store_true", help="run the component grid")
-    p.add_argument("--seeds", default=",".join(str(s) for s in DEFAULT_ABLATION_SEEDS),
+    p.add_argument("--seeds", default=DEFAULT_SEEDS,
                    help="comma-separated seeds for --ablate")
     p.add_argument("--from-cache", action="store_true",
                    help="load datasets from the cache instead of synthesizing "

@@ -440,4 +440,6 @@ def load_model(path, cfg: ModelConfig):
             mean=tensors["stats.mean"],
             cov=tensors["stats.cov"],
         )
-    return params, stats, int(meta["iteration"])
+    if "iteration" not in meta:
+        raise ValueError("load_model: checkpoint has no iteration")
+    return params, stats, meta["iteration"]

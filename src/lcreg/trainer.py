@@ -383,38 +383,43 @@ def canonical_record_bytes(record: dict) -> bytes:
     return canonical_json(pruned)
 
 
-# -- component ablation ---------------------------------------------------
+# -- study grids ---------------------------------------------------------
 
 
-def grid_config_dict(cfg: TrainConfig, task: TaskSpec) -> dict:
-    """The config the component grid stores and hashes: ``config_dict``
-    without ``train.variant``, which every grid row overrides."""
+def grid_config_dict(cfg: TrainConfig, task: TaskSpec, rows: dict) -> dict:
+    """The config a study grid stores and hashes: ``config_dict`` without
+    the ``train`` fields that every row overrides."""
     d = config_dict(cfg, task)
-    del d["train"]["variant"]
+    for key in set(d["train"]).intersection(*rows.values()):
+        del d["train"][key]
     return d
 
 
-def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,
-                 rows: dict | None = None) -> dict:
-    """Component grid over shared per-seed datasets. ``rows`` maps each row
-    name to the TrainConfig fields it overrides; by default one row per variant.
+# one row per training variant
+COMPONENT_ROWS = {name: {"variant": name} for name in COMPONENT_GRID}
 
-    Returns {"rows": {name: {"seeds": {seed: metrics-or-error}}},
+
+def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,
+                 rows: dict = COMPONENT_ROWS) -> dict:
+    """A study grid over shared per-seed datasets. ``rows`` maps each row
+    name to the TrainConfig fields it overrides.
+
+    Returns the grid file: {"config": grid_config_dict(...), "seeds": [...],
+    "rows": {name: {"seeds": {seed: metrics-or-error}}},
     "summary": {name: mean metrics over clean runs}}.
     """
-    if rows is None:
-        rows = {name: {"variant": name} for name in COMPONENT_GRID}
-    out: dict = {"rows": {}, "summary": {}}
-    data_cache = {int(s): make_task_data(task, int(s)) for s in seeds}
+    out: dict = {"config": grid_config_dict(base_cfg, task, rows),
+                 "seeds": [int(s) for s in seeds], "rows": {}, "summary": {}}
+    data_cache = {s: make_task_data(task, s) for s in out["seeds"]}
     for name, overrides in rows.items():
         per_seed = {}
-        for s in seeds:
-            cfg = replace(base_cfg, seed=int(s), **overrides)
-            result = run_training(cfg, task, datasets=data_cache[int(s)])
+        for s in out["seeds"]:
+            cfg = replace(base_cfg, seed=s, **overrides)
+            result = run_training(cfg, task, datasets=data_cache[s])
             if result.diverged:
-                per_seed[int(s)] = {"error": "diverged", "at": result.diverged_at}
+                per_seed[s] = {"error": "diverged", "at": result.diverged_at}
             else:
-                per_seed[int(s)] = result.report.to_dict()
+                per_seed[s] = result.report.to_dict()
         out["rows"][name] = {"seeds": per_seed}
         clean = [m for m in per_seed.values() if "error" not in m]
         if clean:

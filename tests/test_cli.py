@@ -339,11 +339,14 @@ class TestAblate:
         assert "not a readable JSON object" in capsys.readouterr().err
         assert json.loads((out / "ablation.json").read_text())["seeds"] == [0]
 
-    def test_bad_seeds_is_usage_error(self, tmp_path, config_file):
-        assert main(["train", "--config", config_file, "--out", str(tmp_path),
-                     "--ablate", "--seeds", "0,x"]) == 2
-        assert main(["train", "--config", config_file, "--out", str(tmp_path),
-                     "--ablate", "--seeds", ","]) == 2
+    def test_bad_seeds_is_usage_error(self, tmp_path, config_file, capsys):
+        # a repeated seed would train every row twice and keep one run
+        for seeds in ("0,x", ",", "0,0"):
+            assert main(["train", "--config", config_file, "--out", str(tmp_path),
+                         "--ablate", "--seeds", seeds]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "ablation.json").exists()
 
 
 class TestEval:
@@ -392,6 +395,18 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "missing tensor stats.count" in err[0]
 
+    def test_checkpoint_without_iteration_fails_cleanly(self, tmp_path, config_file, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out)]) == 0
+        tensors, meta = tensorio.load_tensors(out / "model.lct")
+        del meta["iteration"]
+        bad = tmp_path / "bad.lct"
+        tensorio.save_tensors(bad, tensors, meta)
+        capsys.readouterr()
+        assert main(["eval", "--config", config_file, "--model", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "no iteration" in err[0]
+
 
 class TestGradcheck:
     def test_passes_and_prints_every_kernel(self, capsys):
@@ -406,6 +421,13 @@ class TestGradcheck:
         monkeypatch.setattr(diffcore, "_sigmoid_grad", lambda y: y)
         assert main(["gradcheck", "--instances", "3"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_instances_below_one_is_usage_error(self, capsys, instances):
+        assert main(["gradcheck", "--instances", instances]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestReport:
@@ -430,6 +452,23 @@ class TestReport:
         body = [l for l in lines[2:] if l.strip()]
         assert len(body) == 6
 
+    def test_ablation_report_prints_baseline_deltas(self, tmp_path, config_file, capsys):
+        out = tmp_path / "grid"
+        assert main(["train", "--config", config_file, "--out", str(out),
+                     "--ablate", "--seeds", "0,1",
+                     "--set", "train.t1_iters=10", "--set", "train.t2_iters=2"]) == 0
+        summary = json.loads((out / "ablation.json").read_text())["summary"]
+        base = summary["baseline"]
+        capsys.readouterr()
+        assert main(["report", "--results", str(out / "ablation.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("Δ overall  Δ few")
+        assert len(lines[2:]) == len(COMPONENT_GRID)
+        for line in lines[2:]:
+            name, *_, d_overall, d_few = line.split()
+            assert d_overall == f"{summary[name]['overall'] - base['overall']:+.4f}"
+            assert d_few == f"{summary[name]['few'] - base['few']:+.4f}"
+
     def test_missing_results_file(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "none.json")]) == 1
 
@@ -451,7 +490,7 @@ class TestReport:
 
     @pytest.mark.parametrize("text", [
         "{}",
-        # the --out file of scripts/run_hparam_sensitivity.py: cells, not rows
+        # a grid-like object whose results sit under "cells", not "rows"
         '{"config": {}, "seeds": [0], "cells": {"1,1": {"overall": 0.5}}}',
     ])
     def test_non_record_fails_cleanly(self, tmp_path, capsys, text):

@@ -1,4 +1,5 @@
-"""The study scripts run end to end on a tiny config and write their JSON."""
+"""The loss-weight sweep runs end to end on a tiny config and writes a grid
+file that ``lcreg report`` formats."""
 
 import json
 import os
@@ -6,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+from lcreg.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,24 +19,40 @@ TINY_SETS = [
 ]
 
 
-@pytest.mark.parametrize("script, extra", [
-    ("run_mixture_ablation.py", []),
-    ("run_hparam_sensitivity.py", ["--pairs", "1,1;0.1,0.1"]),
-])
-def test_study_writes_json(tmp_path, script, extra):
-    out = tmp_path / "study.json"
+def _run_sweep(*extra):
     sets = [arg for kv in TINY_SETS for arg in ("--set", kv)]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--seeds", "0",
-         *sets, *extra, "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_hparam_sensitivity.py"),
+         *sets, *extra],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_sweep_writes_grid(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    proc = _run_sweep("--seeds", "0", "--pairs", "1,1;0.1,0.1", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
+    assert "spread from best: 0.0000 over 2 clean pairs" in proc.stdout
     payload = json.loads(out.read_text())
+    assert set(payload) == {"config", "seeds", "rows", "summary"}
     assert payload["seeds"] == [0]
-    if script == "run_mixture_ablation.py":
-        # every grid row sets its own variant, so the stored config omits it
-        assert "variant" not in payload["config"]["train"]
+    # every row sets these, so the stored config omits them
+    assert not {"variant", "alpha", "beta"} & set(payload["config"]["train"])
+
+    assert main(["report", "--results", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("variant") and "Δ" not in lines[0]
+    body = [line for line in lines[2:] if line.strip()]
+    assert sorted(line.split()[0] for line in body) == ["0.1,0.1", "1,1"]
+
+
+def test_sweep_rejects_repeated_seed(tmp_path):
+    out = tmp_path / "sweep.json"
+    proc = _run_sweep("--seeds", "0,0", "--pairs", "1,1", "--out", str(out))
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and "repeats a seed" in err[0]
+    assert not out.exists()
