@@ -153,9 +153,9 @@ def latent_aug_logits(tape: Tape, latents: Tensor, w: Tensor, b: Tensor,
         raise ShapeError("latent_aug_logits: stats do not match latents")
     if lam < 0:
         raise ValueError("latent_aug_logits: lambda must be >= 0")
-    plain = tape.add_rowvec(tape.matmul(latents, tape.transpose(w)), b)
+    plain = tape.transpose(tape.linear_map_1x1(tape.transpose(latents), w, b))
     aug = tape.add(plain, tape.quadratic_penalty(w, stats.cov, lam))
-    return tape.sub_colvec(aug, tape.diag_part(aug))
+    return tape.sub_colvec(aug, tape.take_flat(aug, np.arange(m) * (m + 1)))
 
 
 def isda_upper_bound_loss(tape: Tape, latents: Tensor, w: Tensor, b: Tensor,
@@ -177,12 +177,13 @@ def classwise_augmented_logits(tape: Tape, logits: Tensor, w: Tensor, labels,
     Sigma_y (w_j - w_y); used by the raw-feature augmentation baseline.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.data.ndim != 2 or logits.shape[0] != len(labels):
+    if labels.ndim != 1 or logits.data.ndim != 2 or logits.shape[0] != len(labels):
         raise ShapeError("classwise_augmented_logits: logits/labels mismatch")
     if logits.shape[1] != stats.num_categories:
         raise ShapeError("classwise_augmented_logits: class count mismatch")
+    c = stats.num_categories
     penalty = tape.quadratic_penalty(w, stats.cov, lam)
-    return tape.add(logits, tape.take_rows(penalty, labels))
+    return tape.add(logits, tape.take_flat(penalty, labels[:, None] * c + np.arange(c)))
 
 
 def psd_factor(cov: np.ndarray, tolerance: float = 1e-8) -> np.ndarray:

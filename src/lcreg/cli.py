@@ -221,6 +221,10 @@ def cmd_train(args) -> int:
         print("--from-cache cannot be combined with --ablate "
               "(the grid synthesizes each seed's data)", file=sys.stderr)
         return 2
+    if args.seeds is not None and not args.ablate:
+        print("--seeds applies only with --ablate; a single run takes --seed",
+              file=sys.stderr)
+        return 2
     task, cfg = load_settings(args.config, args.set, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,7 +260,7 @@ def cmd_train(args) -> int:
 
 
 def _train_ablation(args, task: TaskSpec, cfg: TrainConfig, out: Path) -> int:
-    seeds = parse_seeds(args.seeds)
+    seeds = parse_seeds(DEFAULT_SEEDS if args.seeds is None else args.seeds)
     path = out / "ablation.json"
     want = content_hash({"config": grid_config_dict(cfg, task, COMPONENT_ROWS),
                          "seeds": seeds})
@@ -436,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--ablate", action="store_true", help="run the component grid")
-    p.add_argument("--seeds", default=DEFAULT_SEEDS,
-                   help="comma-separated seeds for --ablate")
+    p.add_argument("--seeds",
+                   help=f"comma-separated seeds for --ablate (default {DEFAULT_SEEDS})")
     p.add_argument("--from-cache", action="store_true",
                    help="load datasets from the cache instead of synthesizing "
                         "(not with --ablate)")

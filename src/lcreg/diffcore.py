@@ -84,10 +84,10 @@ class Tape:
     """Recorded computation sequence; replaying it in reverse yields gradients.
 
     Each op appends (output, inputs, backward_fn) to the record. ``backward``
-    seeds the scalar output with 1.0, walks the record in reverse, and sums
-    every contribution a value receives from its consumers. Gradients of
-    parameters used via :meth:`use` are flushed additively into
-    ``Parameter.grad`` at the end of the replay.
+    seeds the output with a cotangent (1.0 for a scalar loss), walks the
+    record in reverse, and sums every contribution a value receives from
+    its consumers. Gradients of parameters used via :meth:`use` are flushed
+    additively into ``Parameter.grad`` at the end of the replay.
     """
 
     def __init__(self):
@@ -144,16 +144,6 @@ class Tape:
 
         def bwd(g):
             return g, g
-
-        return self._record(out, (a, b), bwd)
-
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-        out = Tensor(a.data * b.data)
-
-        def bwd(g):
-            return g * b.data, g * a.data
 
         return self._record(out, (a, b), bwd)
 
@@ -238,17 +228,6 @@ class Tape:
 
         return self._record(out, (x, w, b), bwd)
 
-    def add_rowvec(self, a: Tensor, v: Tensor) -> Tensor:
-        """a[n,m] + v[m] broadcast across rows."""
-        if a.data.ndim != 2 or v.data.ndim != 1 or v.shape[0] != a.shape[1]:
-            raise ShapeError(f"add_rowvec: shapes {a.shape} and {v.shape}")
-        out = Tensor(a.data + v.data[None, :])
-
-        def bwd(g):
-            return g, g.sum(axis=0)
-
-        return self._record(out, (a, v), bwd)
-
     def sub_colvec(self, a: Tensor, v: Tensor) -> Tensor:
         """a[n,m] - v[n] broadcast across columns."""
         if a.data.ndim != 2 or v.data.ndim != 1 or v.shape[0] != a.shape[0]:
@@ -259,21 +238,6 @@ class Tape:
             return g, -g.sum(axis=1)
 
         return self._record(out, (a, v), bwd)
-
-    def take_rows(self, a: Tensor, idx) -> Tensor:
-        idx = np.asarray(idx, dtype=np.int64)
-        if a.data.ndim != 2 or idx.ndim != 1:
-            raise ShapeError("take_rows: a must be 2-d, idx 1-d")
-        if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-            raise ValueError("take_rows: row index out of range")
-        out = Tensor(a.data[idx])
-
-        def bwd(g):
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            return (buf,)
-
-        return self._record(out, (a,), bwd)
 
     def take_flat(self, a: Tensor, idx: np.ndarray) -> Tensor:
         """Gather from the flattened input; backward scatter-adds."""
@@ -309,18 +273,6 @@ class Tape:
             return (gv.sum(axis=0) - gv.sum(axis=1),)
 
         return self._record(out, (w,), bwd)
-
-    def diag_part(self, a: Tensor) -> Tensor:
-        if a.data.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ShapeError(f"diag_part: expected square matrix, got {a.shape}")
-        out = Tensor(np.diagonal(a.data).copy())
-
-        def bwd(g):
-            buf = np.zeros_like(a.data)
-            np.fill_diagonal(buf, g)
-            return (buf,)
-
-        return self._record(out, (a,), bwd)
 
     def block_correlation(self, a: Tensor, b: Tensor, width: int) -> Tensor:
         """Per-block correlation of a, b [D, K*width] cut into K column blocks.
@@ -360,14 +312,6 @@ class Tape:
 
         return self._record(out, (a, b), bwd)
 
-    def sum_all(self, a: Tensor) -> Tensor:
-        out = Tensor(a.data.sum())
-
-        def bwd(g):
-            return (np.full_like(a.data, g.reshape(-1)[0]),)
-
-        return self._record(out, (a,), bwd)
-
     def mean_pool_segments(self, a: Tensor, seg_len: int) -> Tensor:
         """Mean over consecutive column segments: [c, B*P] -> [c, B]."""
         if a.data.ndim != 2 or seg_len < 1 or a.shape[1] % seg_len != 0:
@@ -382,10 +326,19 @@ class Tape:
 
     # -- replay ---------------------------------------------------------
 
-    def backward(self, out: Tensor) -> None:
-        if out.data.size != 1:
-            raise ShapeError(f"backward: output must be scalar, got shape {out.shape}")
-        grads: dict[int, np.ndarray] = {id(out): np.ones_like(out.data)}
+    def backward(self, out: Tensor, cotangent=None) -> None:
+        """Replay from ``out`` seeded with ``cotangent`` (shaped like ``out``);
+        without one, ``out`` must be a scalar and is seeded with 1.0."""
+        if cotangent is None:
+            if out.data.size != 1:
+                raise ShapeError(f"backward: output must be scalar, got shape {out.shape}")
+            seed = np.ones_like(out.data)
+        else:
+            seed = np.array(cotangent, dtype=np.float64)
+            if seed.shape != out.shape:
+                raise ShapeError(
+                    f"backward: cotangent shape {seed.shape}, output shape {out.shape}")
+        grads: dict[int, np.ndarray] = {id(out): seed}
         for node, inputs, bwd in reversed(self._entries):
             g = grads.get(id(node))
             if g is None:
@@ -424,9 +377,9 @@ class GradCheckReport:
 def grad_check(name, fn, inputs, tolerance=1e-5, step=1e-5, seed=0) -> GradCheckReport:
     """Compare the recorded backward of ``fn`` against central differences.
 
-    ``fn(tape, *nodes) -> node`` may return any shape; a fixed random
-    cotangent turns it into a scalar objective so the comparison covers every
-    input scalar. Relative error is floored at unit scale so near-zero
+    ``fn(tape, *nodes) -> node`` may return any shape; the replay is seeded
+    with a fixed random cotangent, the gradient of the scalar objective
+    sum(out * cotangent), so the comparison covers every input scalar. Relative error is floored at unit scale so near-zero
     gradients do not blow up the ratio.
     """
     arrays = [np.array(x, dtype=np.float64) for x in inputs]
@@ -436,8 +389,7 @@ def grad_check(name, fn, inputs, tolerance=1e-5, step=1e-5, seed=0) -> GradCheck
     nodes = [tape.constant(x.copy()) for x in arrays]
     out = fn(tape, *nodes)
     vec = rng.standard_normal(out.data.shape)
-    loss = tape.sum_all(tape.mul(out, tape.constant(vec)))
-    tape.backward(loss)
+    tape.backward(out, vec)
     analytic = [tape.grad(n).copy() for n in nodes]
 
     def objective() -> float:
@@ -482,7 +434,6 @@ KERNEL_CHECKS = (
     ("matmul", lambda t, a, b: t.matmul(a, b), lambda rand: [rand(3, 4), rand(4, 2)]),
     ("transpose", lambda t, a: t.transpose(a), lambda rand: [rand(3, 4)]),
     ("add", lambda t, a, b: t.add(a, b), lambda rand: [rand(3, 4), rand(3, 4)]),
-    ("mul", lambda t, a, b: t.mul(a, b), lambda rand: [rand(3, 4), rand(3, 4)]),
     ("scale", lambda t, a: t.scale(a, -1.7), lambda rand: [rand(3, 4)]),
     ("sigmoid", lambda t, a: t.sigmoid(a), lambda rand: [rand(3, 4)]),
     ("tanh", lambda t, a: t.tanh(a), lambda rand: [rand(3, 4)]),
@@ -491,17 +442,13 @@ KERNEL_CHECKS = (
     ("cross_entropy", lambda t, a: t.cross_entropy(a, [0, 2, 1]), lambda rand: [rand(3, 4)]),
     ("linear_map_1x1", lambda t, x, w, b: t.linear_map_1x1(x, w, b),
      lambda rand: [rand(4, 5), rand(3, 4), rand(3)]),
-    ("add_rowvec", lambda t, a, v: t.add_rowvec(a, v), lambda rand: [rand(3, 4), rand(4)]),
     ("sub_colvec", lambda t, a, v: t.sub_colvec(a, v), lambda rand: [rand(3, 4), rand(3)]),
-    ("take_rows", lambda t, a: t.take_rows(a, [2, 0, 2]), lambda rand: [rand(3, 4)]),
     ("take_flat", lambda t, a: t.take_flat(a, _TAKE_FLAT_IDX), lambda rand: [rand(11)]),
     ("quadratic_penalty", lambda t, w: t.quadratic_penalty(w, _PENALTY_COV, 0.8),
      lambda rand: [rand(4, 3)]),
-    ("diag_part", lambda t, a: t.diag_part(a), lambda rand: [rand(4, 4)]),
     ("block_correlation", lambda t, a, b: t.block_correlation(a, b, 3),
      lambda rand: [rand(4, 9), rand(4, 9)]),
     ("concat_rows", lambda t, a, b: t.concat_rows(a, b), lambda rand: [rand(2, 4), rand(3, 4)]),
-    ("sum_all", lambda t, a: t.sum_all(a), lambda rand: [rand(3, 4)]),
     ("mean_pool_segments", lambda t, a: t.mean_pool_segments(a, 3), lambda rand: [rand(4, 6)]),
 )
 

@@ -78,7 +78,7 @@ class SimilarityStack:
 def encoded_latents(tape: Tape, pool: LatentPool) -> Tensor:
     """Encoding map applied to every latent row: [M, D]."""
     f, w, b = tape.use(pool.features), tape.use(pool.enc_w), tape.use(pool.enc_b)
-    return tape.add_rowvec(tape.matmul(f, tape.transpose(w)), b)
+    return tape.transpose(tape.linear_map_1x1(tape.transpose(f), w, b))
 
 
 def similarity_maps(tape: Tape, pool: LatentPool, f: Tensor) -> SimilarityStack:

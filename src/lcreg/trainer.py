@@ -408,12 +408,15 @@ def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,
     "rows": {name: {"seeds": {seed: metrics-or-error}}},
     "summary": {name: mean metrics over clean runs}}.
     """
+    seeds = [int(s) for s in seeds]
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"run_ablation: repeated seed in {seeds}")
     out: dict = {"config": grid_config_dict(base_cfg, task, rows),
-                 "seeds": [int(s) for s in seeds], "rows": {}, "summary": {}}
-    data_cache = {s: make_task_data(task, s) for s in out["seeds"]}
+                 "seeds": seeds, "rows": {}, "summary": {}}
+    data_cache = {s: make_task_data(task, s) for s in seeds}
     for name, overrides in rows.items():
         per_seed = {}
-        for s in out["seeds"]:
+        for s in seeds:
             cfg = replace(base_cfg, seed=s, **overrides)
             result = run_training(cfg, task, datasets=data_cache[s])
             if result.diverged:

@@ -339,9 +339,19 @@ class TestAblate:
         assert "not a readable JSON object" in capsys.readouterr().err
         assert json.loads((out / "ablation.json").read_text())["seeds"] == [0]
 
+    def test_seeds_without_ablate_is_usage_error(self, tmp_path, config_file, capsys):
+        out = tmp_path / "run"
+        for seeds in ("7", "7,7,x", ""):
+            assert main(["train", "--config", config_file, "--out", str(out),
+                         "--seeds", seeds]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+            assert "--seeds" in captured.err
+        assert not out.exists()
+
     def test_bad_seeds_is_usage_error(self, tmp_path, config_file, capsys):
         # a repeated seed would train every row twice and keep one run
-        for seeds in ("0,x", ",", "0,0"):
+        for seeds in ("0,x", ",", "0,0", ""):
             assert main(["train", "--config", config_file, "--out", str(tmp_path),
                          "--ablate", "--seeds", seeds]) == 2
             captured = capsys.readouterr()

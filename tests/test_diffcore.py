@@ -120,8 +120,7 @@ def test_parameter_gradients_accumulate_until_zeroed():
     def one_pass():
         tape = Tape()
         node = tape.use(p)
-        loss = tape.sum_all(tape.mul(node, node))
-        tape.backward(loss)
+        tape.backward(tape.matmul(node, node), np.ones((2, 2)))
 
     one_pass()
     first = p.grad.data.copy()
@@ -132,14 +131,14 @@ def test_parameter_gradients_accumulate_until_zeroed():
 
 
 def test_param_reused_in_one_tape_accumulates_both_paths():
-    # f(w) = sum(w @ w): both uses of w must contribute.
+    # f(w) = sum(w @ w), the all-ones cotangent of w @ w: both uses of w
+    # must contribute.
     p = Parameter(np.array([[1.0, 2.0], [3.0, 4.0]]), "w")
     tape = Tape()
     node = tape.use(p)
-    loss = tape.sum_all(tape.matmul(node, node))
-    tape.backward(loss)
+    tape.backward(tape.matmul(node, node), np.ones((2, 2)))
     rep = grad_check(
-        "reused", lambda t, a: t.sum_all(t.matmul(a, a)), [p.value.data], tolerance=1e-6
+        "reused", lambda t, a: t.matmul(a, a), [p.value.data], tolerance=1e-6
     )
     assert rep.passed
     # analytic for sum(w@w): grad = ones @ w.T + w.T @ ones
@@ -173,6 +172,18 @@ def test_backward_requires_scalar():
     out = tape.add(tape.constant(np.ones(3)), tape.constant(np.ones(3)))
     with pytest.raises(ShapeError):
         tape.backward(out)
+
+
+def test_backward_cotangent_must_match_output_shape():
+    tape = Tape()
+    a = tape.constant(np.ones((2, 3)))
+    out = tape.scale(a, 2.0)
+    for shape in ((3, 2), (6,), (2, 3, 1), ()):
+        with pytest.raises(ShapeError):
+            tape.backward(out, np.ones(shape))
+    cot = np.arange(6.0).reshape(2, 3)
+    tape.backward(out, cot)
+    assert np.array_equal(tape.grad(a), 2.0 * cot)
 
 
 def test_standard_kernel_battery_passes():
@@ -241,8 +252,7 @@ def test_determinism_bitwise():
         tape = Tape()
         node = tape.constant(x.copy())
         out = tape.softmax(tape.sigmoid(tape.matmul(node, tape.constant(x.T))), axis=1)
-        loss = tape.sum_all(out)
-        tape.backward(loss)
+        tape.backward(out, np.ones_like(out.data))
         return out.data.copy(), tape.grad(node).copy()
 
     o1, g1 = run()

@@ -148,7 +148,7 @@ def test_recon_loss_gradcheck_wrt_pool():
         # same pipeline as similarity_maps/reconstruct, but the pool tensors
         # come in as checkable inputs instead of parameters
         node = tape.constant(f)
-        enc = tape.add_rowvec(tape.matmul(feats_in, tape.transpose(w_in)), b_in)
+        enc = tape.transpose(tape.linear_map_1x1(tape.transpose(feats_in), w_in, b_in))
         raw = tape.sigmoid(tape.matmul(enc, node))
         normalized = tape.softmax(raw, axis=0)
         f_hat = tape.matmul(tape.transpose(enc), normalized)

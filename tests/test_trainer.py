@@ -302,6 +302,15 @@ class TestAblation:
         for s in (0, 1):
             assert c[s]["overall"] == d[s]["overall"]
 
+    def test_repeated_seed_rejected_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained despite a repeated seed")
+
+        monkeypatch.setattr(trainer, "run_training", no_training)
+        monkeypatch.setattr(trainer, "make_task_data", no_training)
+        with pytest.raises(ValueError, match="repeated seed"):
+            run_ablation(tiny_cfg(), TINY_TASK, seeds=[0, 0])
+
     def test_rows_share_datasets_per_seed(self):
         cfg = tiny_cfg(t1_iters=20, t2_iters=4)
         out1 = run_ablation(cfg, TINY_TASK, seeds=[2])
