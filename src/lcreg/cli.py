@@ -27,7 +27,7 @@ import numpy as np
 from .augment import AugSchedule, init_stats, update_stats
 from .data import (build_profile, dataset_cache_dir, load_dataset, make_mixture_spec,
                    save_dataset)
-from .diffcore import Tape, standard_kernel_checks
+from .diffcore import ForwardTape, standard_kernel_checks
 from .model import (
     ModelConfig,
     end_to_end_grad_check,
@@ -278,7 +278,13 @@ def cmd_eval(args) -> int:
     params = _load_params(Path(args.model), task, cfg)
     if params is None:
         return 1
-    train, test = make_task_data(task, cfg.seed)
+    if args.from_cache:
+        datasets = _load_cached_data(task, cfg.seed)
+        if datasets is None:
+            return 1
+    else:
+        datasets = make_task_data(task, cfg.seed)
+    train, test = datasets
     report = evaluate(params, test, train.counts)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
@@ -336,23 +342,32 @@ def _report_single(record: dict) -> str:
 
 def format_grid(grid: dict) -> str:
     """Table of a study grid file: mean ± std of each row over its clean
-    seeds and, when the grid has a ``baseline`` row, each row's overall and
-    few delta against that row's means."""
+    seeds and, when the grid has a ``baseline`` row, four columns against
+    it. Δ overall and Δ few difference the two rows' means. Over the seeds
+    clean in both rows, "few wins" counts those where the row's few
+    accuracy beats baseline's at the same seed, as k/n, and "std Δ few" is
+    the std of the paired per-seed few difference."""
     labels = ("overall", "many", "medium", "few")
-    rows, means = [], {}
+    rows, means, cleans = [], {}, {}
     for name, cell in grid["rows"].items():
-        clean = [m for m in cell["seeds"].values() if "error" not in m]
-        vals = {label: np.array([m[label] for m in clean]) for label in labels}
+        clean = {s: m for s, m in cell["seeds"].items() if "error" not in m}
+        vals = {label: np.array([m[label] for m in clean.values()]) for label in labels}
         rows.append([name, *(f"{v.mean():.4f} ± {v.std():.4f}" if clean else "diverged"
                              for v in vals.values()),
                      f"{len(clean)}/{len(cell['seeds'])}"])
         means[name] = {label: v.mean() for label, v in vals.items()} if clean else None
+        cleans[name] = clean
     headers = ["variant", *labels, "clean"]
     base = means.get("baseline")
     if base is not None:
-        headers += ["Δ overall", "Δ few"]
-        for row, mean in zip(rows, means.values()):
+        headers += ["Δ overall", "Δ few", "few wins", "std Δ few"]
+        base_clean = cleans["baseline"]
+        for row, (name, mean) in zip(rows, means.items()):
             row += [f"{mean[k] - base[k]:+.4f}" if mean else "" for k in ("overall", "few")]
+            paired = np.array([m["few"] - base_clean[s]["few"]
+                               for s, m in cleans[name].items() if s in base_clean])
+            row += [f"{int((paired > 0).sum())}/{paired.size}",
+                    f"{paired.std():.4f}" if paired.size else ""]
     return _format_table(headers, rows)
 
 
@@ -372,7 +387,7 @@ def _latent_usage_csv(args, task: TaskSpec, cfg: TrainConfig, path: Path) -> int
         xb = test.samples[start:start + EVAL_CHUNK]
         yb = test.labels[start:start + EVAL_CHUNK]
         # pooled rows past the features are the mean normalized similarities
-        per_sample = forward(Tape(), params, xb).pooled.data[d:]
+        per_sample = forward(ForwardTape(), params, xb).pooled.data[d:]
         np.add.at(sums, yb, per_sample.T)
         np.add.at(counts, yb, 1.0)
     usage = sums / counts[:, None]
@@ -450,6 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on the balanced test split")
     common(p)
     p.add_argument("--model", required=True, help="checkpoint path")
+    p.add_argument("--from-cache", action="store_true",
+                   help="load the splits from the cache instead of synthesizing")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="kernel battery plus end-to-end check")

@@ -88,6 +88,15 @@ class Tape:
     record in reverse, and sums every contribution a value receives from
     its consumers. Gradients of parameters used via :meth:`use` are flushed
     additively into ``Parameter.grad`` at the end of the replay.
+
+    The replay keeps a value's first contribution as returned, without a
+    copy, and copies only to start a sum (or to make a strided view
+    contiguous). So a backward rule must never write to its cotangent ``g``
+    or to the arrays it returns, which may be views of ``g``. Memory order
+    must be kept: the copy is ``np.array``, which keeps it, and the sum is
+    taken in place. A C- or F-ordered gradient selects a different BLAS
+    path downstream, so a change of order changes the rounding of later
+    products, and with it the bytes of every training record.
     """
 
     def __init__(self):
@@ -313,9 +322,14 @@ class Tape:
         return self._record(out, (a, b), bwd)
 
     def mean_pool_segments(self, a: Tensor, seg_len: int) -> Tensor:
-        """Mean over consecutive column segments: [c, B*P] -> [c, B]."""
+        """Mean over consecutive column segments: [c, B*P] -> [c, B].
+
+        A segment of one column is its own mean, exactly, so ``seg_len`` 1
+        returns ``a`` itself and records nothing."""
         if a.data.ndim != 2 or seg_len < 1 or a.shape[1] % seg_len != 0:
             raise ShapeError(f"mean_pool_segments: {a.shape} with segment {seg_len}")
+        if seg_len == 1:
+            return a
         c, total = a.shape
         out = Tensor(a.data.reshape(c, total // seg_len, seg_len).mean(axis=2))
 
@@ -339,18 +353,22 @@ class Tape:
                 raise ShapeError(
                     f"backward: cotangent shape {seed.shape}, output shape {out.shape}")
         grads: dict[int, np.ndarray] = {id(out): seed}
+        owned: set[int] = set()  # nodes whose gradient is a private sum buffer
         for node, inputs, bwd in reversed(self._entries):
             g = grads.get(id(node))
             if g is None:
                 continue
-            contribs = bwd(g)
-            for inp, contrib in zip(inputs, contribs):
-                if contrib is None:
-                    continue
-                prev = grads.get(id(inp))
+            for inp, contrib in zip(inputs, bwd(g)):
+                key = id(inp)
+                prev = grads.get(key)
                 if prev is None:
-                    grads[id(inp)] = np.array(contrib, dtype=np.float64)
+                    if not (contrib.flags.c_contiguous or contrib.flags.f_contiguous):
+                        contrib = np.array(contrib)
+                    grads[key] = contrib
                 else:
+                    if key not in owned:
+                        prev = grads[key] = np.array(prev)
+                        owned.add(key)
                     prev += contrib
         self._grads = grads
         for param, node in self._param_nodes.values():
@@ -364,6 +382,25 @@ class Tape:
         if g is None:
             return np.zeros_like(node.data)
         return g
+
+
+class ForwardTape(Tape):
+    """A tape that runs the kernels without recording them, for forward
+    passes that need no gradient (scoring, finite differences).
+
+    A recording tape keeps every intermediate alive until the tape is
+    dropped, so a scoring chunk allocates its whole working set and frees it
+    at once, and the allocator may hand those pages back to the system and
+    fault them in again for the next chunk. Here each intermediate is freed
+    as soon as nothing else holds it. Values are bit-identical to a
+    recording tape's.
+    """
+
+    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], bwd) -> Tensor:
+        return out
+
+    def backward(self, out: Tensor, cotangent=None) -> None:
+        raise TypeError("ForwardTape records nothing to replay")
 
 
 @dataclass(frozen=True)
@@ -393,7 +430,7 @@ def grad_check(name, fn, inputs, tolerance=1e-5, step=1e-5, seed=0) -> GradCheck
     analytic = [tape.grad(n).copy() for n in nodes]
 
     def objective() -> float:
-        t = Tape()
+        t = ForwardTape()
         o = fn(t, *[t.constant(x) for x in arrays])
         return float((o.data * vec).sum())
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import tensorio
 from .augment import CategoryStats, isda_upper_bound_loss
-from .diffcore import (GradCheckReport, Parameter, ShapeError, Tape, Tensor,
-                       _central_difference_error)
+from .diffcore import (ForwardTape, GradCheckReport, Parameter, ShapeError, Tape,
+                       Tensor, _central_difference_error)
 from .latent import (
     LatentPool,
     Reconstruction,
@@ -374,7 +374,7 @@ def end_to_end_grad_check(params: ModelParams, x_batch: np.ndarray, labels,
     parameter scalar of the model."""
 
     def loss_value() -> float:
-        tape = Tape()
+        tape = ForwardTape()
         breakdown, _, _ = total_loss(
             tape, params, x_batch, labels, stats, lam, weights, recon_on, aug_on
         )

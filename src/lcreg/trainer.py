@@ -35,7 +35,7 @@ from .data import (
     split_classes,
     synthesize_mixture,
 )
-from .diffcore import Tape
+from .diffcore import ForwardTape, Tape
 from .model import (
     LossBreakdown,
     LossWeights,
@@ -158,29 +158,49 @@ def lr_at(cfg: TrainConfig, t: int) -> float:
 
 class SGD:
     """Momentum SGD; weight decay is added to the gradient of listed
-    parameters at step time."""
+    parameters at step time.
+
+    The optimizer keeps every value, gradient and velocity in one flat
+    buffer each, the decayed parameters first, so a step and ``zero_grad``
+    are a few whole-buffer numpy calls. Building it copies the current
+    values and gradients in and rebinds each ``Parameter.value.data`` and
+    ``.grad.data`` to a view of its buffers. The last SGD built over a
+    parameter owns that parameter's storage: stage 2's optimizer over
+    ``dec.w``/``dec.b`` takes them out of the stage-1 buffers, whose slots
+    for them go stale.
+    """
 
     def __init__(self, params, lr, momentum, weight_decay, decay_params=()):
-        self.params = list(params)
+        params = list(params)
+        if len({id(p) for p in params}) != len(params):
+            raise ValueError("SGD: a parameter is listed twice")
+        decay_ids = {id(p) for p in decay_params}
+        decayed = [p for p in params if id(p) in decay_ids]
+        self.params = decayed + [p for p in params if id(p) not in decay_ids]
+        self.decay_size = sum(p.value.data.size for p in decayed)
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.decay_ids = {id(p) for p in decay_params}
-        self.velocity = {id(p): np.zeros_like(p.value.data) for p in self.params}
+        self.value = np.concatenate([p.value.data.reshape(-1) for p in self.params])
+        self.grad = np.concatenate([p.grad.data.reshape(-1) for p in self.params])
+        self.velocity = np.zeros_like(self.value)
+        start = 0
+        for p in self.params:
+            shape, end = p.value.shape, start + p.value.data.size
+            p.value.data = self.value[start:end].reshape(shape)
+            p.grad.data = self.grad[start:end].reshape(shape)
+            start = end
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self.grad.fill(0.0)
 
     def step(self):
-        for p in self.params:
-            g = p.grad.data
-            if id(p) in self.decay_ids:
-                g = g + self.weight_decay * p.value.data
-            v = self.velocity[id(p)]
-            v *= self.momentum
-            v += g
-            p.value.data -= self.lr * v
+        k = self.decay_size
+        g = self.grad.copy()
+        g[:k] = self.grad[:k] + self.weight_decay * self.value[:k]
+        self.velocity *= self.momentum
+        self.velocity += g
+        self.value -= self.lr * self.velocity
 
 
 @dataclass(frozen=True)
@@ -215,7 +235,7 @@ def evaluate(params: ModelParams, dataset: LongTailDataset, train_counts) -> Eva
     for start in range(0, len(dataset.labels), EVAL_CHUNK):
         xb = dataset.samples[start:start + EVAL_CHUNK]
         yb = dataset.labels[start:start + EVAL_CHUNK]
-        logits = forward(Tape(), params, xb).logits.data
+        logits = forward(ForwardTape(), params, xb).logits.data
         pred = logits.argmax(axis=1)
         np.add.at(correct, yb, pred == yb)
         np.add.at(total, yb, 1)
@@ -323,7 +343,7 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
                                stage2_stream_seed(cfg.seed))
         opt2 = SGD(params.stage2_trainable(), cfg.stage2_lr, cfg.momentum,
                    cfg.weight_decay, decay_params=params.stage2_trainable())
-        pooled = forward(Tape(), params, train_ds.samples).pooled.data
+        pooled = forward(ForwardTape(), params, train_ds.samples).pooled.data
         for t in range(cfg.t2_iters):
             idx = next(stream2)
             tape = Tape()

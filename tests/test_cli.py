@@ -375,6 +375,52 @@ class TestEval:
         assert main(["eval", "--config", config_file,
                      "--model", str(tmp_path / "no.lct")]) == 1
 
+    @pytest.fixture
+    def checkpoint(self, tmp_path, config_file, monkeypatch, capsys):
+        monkeypatch.setenv("LCREG_CACHE_DIR", str(tmp_path / "cache"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out)]) == 0
+        capsys.readouterr()
+        return str(out / "model.lct")
+
+    def test_from_cache_miss_is_failure(self, tmp_path, config_file, checkpoint, capsys):
+        code = main(["eval", "--config", config_file, "--model", checkpoint,
+                     "--from-cache"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cache miss" in captured.err and str(tmp_path / "cache") in captured.err
+
+    def test_from_cache_matches_direct_synthesis(self, config_file, checkpoint, capsys):
+        assert main(["build-dataset", "--config", config_file]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", config_file, "--model", checkpoint,
+                     "--from-cache"]) == 0
+        cached = capsys.readouterr().out
+        assert main(["eval", "--config", config_file, "--model", checkpoint]) == 0
+        assert cached == capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["missing_test_meta", "truncated_train_meta",
+                                        "scalar_sample_shape"])
+    def test_from_cache_partial_cache_fails_cleanly(self, config_file, checkpoint,
+                                                    capsys, damage):
+        assert main(["build-dataset", "--config", config_file]) == 0
+        root = Path(capsys.readouterr().out.strip())
+        if damage == "missing_test_meta":
+            (root / "test" / "meta.json").unlink()
+        elif damage == "truncated_train_meta":
+            (root / "train" / "meta.json").write_text('{"format": ')
+        else:
+            meta = json.loads((root / "train" / "meta.json").read_text())
+            (root / "train" / "meta.json").write_text(json.dumps({**meta, "sample_shape": 5}))
+        code = main(["eval", "--config", config_file, "--model", checkpoint,
+                     "--from-cache"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "cannot load dataset cache" in captured.err and str(root) in captured.err
+
     def test_truncated_checkpoint_fails_cleanly(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
         assert main(["train", "--config", config_file, "--out", str(out)]) == 0
@@ -472,12 +518,42 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", "--results", str(out / "ablation.json")]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].endswith("Δ overall  Δ few")
+        headers = [h.strip() for h in lines[0].split("  ") if h.strip()]
+        assert headers[-4:] == ["Δ overall", "Δ few", "few wins", "std Δ few"]
         assert len(lines[2:]) == len(COMPONENT_GRID)
         for line in lines[2:]:
-            name, *_, d_overall, d_few = line.split()
+            name, *_, d_overall, d_few, _, _ = line.split()
             assert d_overall == f"{summary[name]['overall'] - base['overall']:+.4f}"
             assert d_few == f"{summary[name]['few'] - base['few']:+.4f}"
+
+    def test_grid_report_pairs_few_by_seed(self, tmp_path, capsys):
+        def cell(few):
+            return {"overall": 0.5, "many": 0.6, "medium": 0.5, "few": few}
+
+        diverged = {"error": "diverged", "at": 7}
+        grid = {"config": {}, "seeds": [0, 1, 2, 3], "summary": {}, "rows": {
+            "baseline": {"seeds": {0: cell(0.20), 1: cell(0.30), 2: cell(0.25),
+                                   3: diverged}},
+            # seed 3 is clean here but not in baseline, so it is not paired
+            "full": {"seeds": {0: cell(0.25), 1: diverged, 2: cell(0.20), 3: cell(0.90)}},
+            "latent": {"seeds": {0: cell(0.30), 1: cell(0.40), 2: cell(0.35),
+                                 3: cell(0.10)}},
+            "raw_isda": {"seeds": {0: diverged, 1: diverged, 2: diverged, 3: diverged}},
+        }}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))  # seed keys become strings
+        for text in (cli.format_grid(grid),
+                     main(["report", "--results", str(path)]) == 0
+                     and capsys.readouterr().out.rstrip("\n")):
+            lines = text.splitlines()
+            assert lines[0].endswith("few wins  std Δ few")
+            rows = {line.split()[0]: line.split() for line in lines[2:]}
+            assert rows["baseline"][-2:] == ["0/3", "0.0000"]
+            # paired differences +0.05 and -0.05
+            assert rows["full"][-2:] == ["1/2", "0.0500"]
+            # +0.10 at each of the three paired seeds
+            assert rows["latent"][-2:] == ["3/3", f"{np.std([0.1, 0.1, 0.1]):.4f}"]
+            assert rows["raw_isda"][-1] == "0/0"
 
     def test_missing_results_file(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "none.json")]) == 1

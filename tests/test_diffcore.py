@@ -186,6 +186,76 @@ def test_backward_cotangent_must_match_output_shape():
     assert np.array_equal(tape.grad(a), 2.0 * cot)
 
 
+def _three_consumers(order):
+    """fn(tape, x, z, m) in which x reaches the output through three
+    consumers, recorded in ``order``, whose backward rules hand x a
+    transposed view, a row slice and a fresh array."""
+    def fn(t, x, z, m):
+        made = {}
+        for kind in order:
+            if kind == "transpose":
+                made[kind] = t.matmul(t.transpose(x), m)  # x gets (g @ m^T)^T
+            elif kind == "slice":
+                made[kind] = t.concat_rows(x, z)          # x gets g[:3]
+            else:
+                made[kind] = t.tanh(x)                    # x gets g * (1 - y^2)
+        a, b, c = (made[k] for k in ("transpose", "slice", "fresh"))
+        return t.concat_rows(t.concat_rows(a, b), c)
+    return fn
+
+
+@pytest.mark.parametrize("order", [("transpose", "slice", "fresh"),
+                                   ("fresh", "slice", "transpose"),
+                                   ("slice", "transpose", "fresh")])
+def test_replay_sums_views_and_fresh_contributions(order):
+    rng = np.random.default_rng(11)
+    x, z, m = (rng.standard_normal(shape) for shape in ((3, 4), (2, 4), (3, 4)))
+    fn = _three_consumers(order)
+    assert grad_check("three_consumers", fn, [x, z, m]).passed
+
+    tape = Tape()
+    nodes = [tape.constant(v.copy()) for v in (x, z, m)]
+    out = fn(tape, *nodes)
+    cot = rng.standard_normal(out.shape)  # rows: 4 transpose, 5 slice, 3 fresh
+    tape.backward(out, cot)
+    parts = {"transpose": (cot[:4] @ m.T).T,
+             "slice": cot[4:9][:3],
+             "fresh": cot[9:] * (1.0 - np.tanh(x) * np.tanh(x))}
+    # the replay meets the consumers in reverse order of recording
+    first, *rest = (parts[k] for k in reversed(order))
+    expect = np.array(first)
+    for part in rest:
+        expect += part
+    got = tape.grad(nodes[0])
+    assert np.array_equal(got, expect)
+    assert got.strides == expect.strides  # the sum keeps the first part's memory order
+
+
+def test_replay_leaves_cotangent_and_inputs_unchanged():
+    rng = np.random.default_rng(12)
+    x, z, m = (rng.standard_normal(shape) for shape in ((3, 4), (2, 4), (3, 4)))
+    tape = Tape()
+    nodes = [tape.constant(v) for v in (x.copy(), z.copy(), m.copy())]
+    three = _three_consumers(("transpose", "slice", "fresh"))(tape, *nodes)
+    # recorded last, so replayed first: add hands x the same array twice
+    doubled = tape.add(nodes[0], nodes[0])
+    out = tape.concat_rows(three, doubled)
+    cot = rng.standard_normal(out.shape)
+    kept = cot.copy()
+    tape.backward(out, cot)
+    assert np.array_equal(cot, kept)
+    for node, v in zip(nodes, (x, z, m)):
+        assert np.array_equal(node.data, v)
+    assert np.array_equal(tape.grad(doubled), kept[12:])
+
+
+def test_mean_pool_over_one_column_is_identity():
+    tape = Tape()
+    a = tape.constant(np.arange(6.0).reshape(2, 3))
+    assert tape.mean_pool_segments(a, 1) is a
+    assert tape._entries == []
+
+
 def test_standard_kernel_battery_passes():
     reports = diffcore.standard_kernel_checks(instances=10, seed=0)
     failed = [r for r in reports if not r.passed]

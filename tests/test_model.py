@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcreg.augment import init_stats, update_stats
-from lcreg.diffcore import Tape
+from lcreg.diffcore import ForwardTape, Tape
 from lcreg.latent import reconstruction_loss
 from lcreg.model import (
     CONV_KERNEL,
@@ -224,6 +224,19 @@ class TestForward:
         assert out.recon is not None
         p = out.positions
         assert p > 1 and out.recon.corr.shape == (2 * p, p)  # two samples' row blocks
+
+    def test_forward_tape_matches_recording_tape_and_records_nothing(self):
+        params = init_model(small_image_config(), seed=2)
+        xb = np.random.default_rng(3).standard_normal((5, 1, 7, 7))
+        recorded = forward(Tape(), params, xb, with_recon_corr=True)
+        tape = ForwardTape()
+        free = forward(tape, params, xb, with_recon_corr=True)
+        assert tape._entries == []
+        for name in ("logits", "features", "pooled"):
+            assert np.array_equal(getattr(free, name).data, getattr(recorded, name).data)
+        assert np.array_equal(free.recon.corr.data, recorded.recon.corr.data)
+        with pytest.raises(TypeError):
+            tape.backward(tape.cross_entropy(free.logits, np.zeros(5, dtype=np.int64)))
 
     def test_recon_tape_length_does_not_grow_with_batch(self):
         # the correlation is one batched kernel, not a per-sample loop

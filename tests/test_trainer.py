@@ -122,6 +122,113 @@ class TestSGD:
         opt.step()
         np.testing.assert_array_equal(p.value.data, np.array([2.5]))
 
+    @staticmethod
+    def _mixed_params():
+        # non-decay parameters listed first, shapes of several ranks
+        from lcreg.diffcore import Parameter
+        rng = np.random.default_rng(5)
+        shapes = {"plain.a": (3, 4), "decay.a": (5,), "plain.b": (2,),
+                  "decay.b": (4, 3), "plain.c": (2, 2, 3), "decay.c": ()}
+        return [Parameter(rng.standard_normal(shape), name)
+                for name, shape in shapes.items()]
+
+    def test_matches_per_parameter_loop_bitwise(self):
+        class PerParameterSGD:
+            """One velocity and five numpy calls per parameter per step."""
+
+            def __init__(self, params, lr, momentum, weight_decay, decay_params=()):
+                self.params, self.lr = list(params), lr
+                self.momentum, self.weight_decay = momentum, weight_decay
+                self.decay_ids = {id(p) for p in decay_params}
+                self.velocity = {id(p): np.zeros_like(p.value.data) for p in self.params}
+
+            def step(self):
+                for p in self.params:
+                    g = p.grad.data
+                    if id(p) in self.decay_ids:
+                        g = g + self.weight_decay * p.value.data
+                    v = self.velocity[id(p)]
+                    v *= self.momentum
+                    v += g
+                    p.value.data -= self.lr * v
+
+        ref, flat = self._mixed_params(), self._mixed_params()
+        ref_opt = PerParameterSGD(ref, 0.1, 0.9, 1e-2,
+                                  decay_params=[p for p in ref if p.id.startswith("decay")])
+        opt = SGD(flat, 0.1, 0.9, 1e-2,
+                  decay_params=[p for p in flat if p.id.startswith("decay")])
+        rng = np.random.default_rng(6)
+        for step in range(5):
+            ref_opt.lr = opt.lr = 0.1 * 0.5 ** step
+            opt.zero_grad()
+            for p, q in zip(ref, flat):
+                g = rng.standard_normal(p.value.shape)
+                p.grad.data[...] = g
+                q.grad.data[...] = g
+            ref_opt.step()
+            opt.step()
+            for p, q in zip(ref, flat):
+                assert q.value.data.shape == p.value.data.shape
+                assert np.array_equal(q.value.data, p.value.data), (step, p.id)
+            # a one-ulp slip in the velocity can vanish in value -= lr * v
+            by_id = {p.id: p for p in ref}
+            ref_velocity = [ref_opt.velocity[id(by_id[q.id])].reshape(-1) for q in opt.params]
+            assert np.array_equal(opt.velocity, np.concatenate(ref_velocity)), step
+
+    def test_parameter_listed_twice_rejected(self):
+        params = self._mixed_params()
+        with pytest.raises(ValueError):
+            SGD(params + params[:1], 0.1, 0.9, 1e-2)
+
+    def test_zero_grad_clears_every_gradient(self):
+        params = self._mixed_params()
+        opt = SGD(params, 0.1, 0.9, 1e-2, decay_params=params[1::2])
+        for p in params:
+            p.grad.data[...] = 1.5
+        opt.zero_grad()
+        for p in params:
+            assert np.array_equal(p.grad.data, np.zeros(p.value.shape)), p.id
+
+    def test_second_optimizer_trains_only_its_subset(self):
+        params = self._mixed_params()
+        SGD(params, 0.1, 0.9, 1e-2, decay_params=params[1::2])
+        before = [p.value.data.copy() for p in params]
+        subset = params[2:4]
+        opt = SGD(subset, 0.5, 0.0, 1e-2, decay_params=subset[1:])
+        for p, b in zip(params, before):
+            assert np.array_equal(p.value.data, b), p.id  # building moves nothing
+            p.grad.data[...] = 1.0
+        opt.step()
+        for p, b in zip(params, before):
+            if any(p is q for q in subset):
+                assert not np.array_equal(p.value.data, b), p.id
+            else:
+                assert np.array_equal(p.value.data, b), p.id
+
+
+# tape entries of one stage-1 step at the default vector protocol (P = 1);
+# stage 2 records decode and the cross-entropy
+STAGE1_ENTRIES = {"baseline": 7, "latent": 14, "latent_recon": 14,
+                  "latent_aug": 24, "full": 24, "raw_isda": 10}
+STAGE2_ENTRIES = 3
+
+
+@pytest.mark.parametrize("name", list(COMPONENT_GRID))
+def test_tape_entries_per_training_step(monkeypatch, name):
+    # a regression in ops per step shows here before it shows in a timing
+    lengths = []
+    replay = Tape.backward
+
+    def counting(tape, *args, **kwargs):
+        lengths.append(len(tape._entries))
+        return replay(tape, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    task = TaskSpec()
+    run_training(TrainConfig(variant=name, t1_iters=2, t2_iters=1), task,
+                 datasets=make_task_data(task, 0))
+    assert lengths == [STAGE1_ENTRIES[name]] * 2 + [STAGE2_ENTRIES]
+
 
 class TestStage2Freezing:
     def test_only_decoder_receives_gradient(self):
