@@ -5,6 +5,13 @@ backprop, the update rule, both sampling streams, and evaluation. None of
 the package's tape machinery is used. The point is an independent
 implementation of the exact same arithmetic, so the full trainer with every
 extra component switched off can be compared against it number for number.
+
+"Exact" includes memory order. Batch columns and logits are C-ordered as
+on the tape, because the order of an operand selects the BLAS path and the
+summation order of row sums, and so the rounding. Stage 2 scores the frozen
+encoder once over the whole training split, as the trainer does, because a
+product's rounding also depends on the batch width. With both, the trained
+parameters equal the trainer's bit for bit.
 """
 
 from __future__ import annotations
@@ -49,12 +56,21 @@ def init_baseline(input_dim, hidden, feature_dim, num_classes, seed) -> Baseline
     return BaselineModel(ws, bs, dec_w, np.zeros(int(num_classes)))
 
 
-def baseline_logits(model: BaselineModel, xb: np.ndarray) -> np.ndarray:
-    h = np.asarray(xb, dtype=np.float64).T
+def baseline_features(model: BaselineModel, xb: np.ndarray) -> np.ndarray:
+    """Feature columns [D, B] of a batch."""
+    h = np.asarray(xb, dtype=np.float64).T.copy()
     for w, b in zip(model.enc_ws[:-1], model.enc_bs[:-1]):
         h = np.tanh(w @ h + b[:, None])
-    f = model.enc_ws[-1] @ h + model.enc_bs[-1][:, None]
-    return (model.dec_w @ f + model.dec_b[:, None]).T
+    return model.enc_ws[-1] @ h + model.enc_bs[-1][:, None]
+
+
+def _decode(model: BaselineModel, f: np.ndarray) -> np.ndarray:
+    """Logits [B, C] of feature columns, in C order like the package's."""
+    return np.ascontiguousarray((model.dec_w @ f + model.dec_b[:, None]).T)
+
+
+def baseline_logits(model: BaselineModel, xb: np.ndarray) -> np.ndarray:
+    return _decode(model, baseline_features(model, xb))
 
 
 def _ce_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -101,13 +117,13 @@ def train_baseline(cfg, train_ds, test_ds):
         lr = stage1_lr(t)
 
         ins = []
-        h = xb.T
+        h = xb.T.copy()
         for i in range(layers - 1):
             ins.append(h)
             h = np.tanh(model.enc_ws[i] @ h + model.enc_bs[i][:, None])
         ins.append(h)
         f = model.enc_ws[-1] @ h + model.enc_bs[-1][:, None]
-        logits = (model.dec_w @ f + model.dec_b[:, None]).T
+        logits = _decode(model, f)
 
         gcols = _ce_grad(logits, yb).T
         d_dec_w = gcols @ f.T
@@ -142,18 +158,14 @@ def train_baseline(cfg, train_ds, test_ds):
             lut[k, : counts[k]] = np.where(train_ds.labels == k)[0]
         vel2_w = np.zeros_like(model.dec_w)
         vel2_b = np.zeros_like(model.dec_b)
+        # the encoder is frozen, so every sample's features are computed once
+        features = baseline_features(model, train_ds.samples)
         for t in range(int(cfg.t2_iters)):
             cls = rng2.integers(0, num_classes, size=cfg.batch_size)
             within = rng2.integers(0, counts[cls])
             idx = lut[cls, within]
-            xb, yb = train_ds.samples[idx], train_ds.labels[idx]
-
-            h = xb.T
-            for i in range(layers - 1):
-                h = np.tanh(model.enc_ws[i] @ h + model.enc_bs[i][:, None])
-            f = model.enc_ws[-1] @ h + model.enc_bs[-1][:, None]
-            logits = (model.dec_w @ f + model.dec_b[:, None]).T
-            gcols = _ce_grad(logits, yb).T
+            f, yb = features[:, idx], train_ds.labels[idx]
+            gcols = _ce_grad(_decode(model, f), yb).T
             _step(model.dec_w, gcols @ f.T, vel2_w, cfg.stage2_lr,
                   cfg.momentum, cfg.weight_decay)
             _step(model.dec_b, gcols.sum(axis=1), vel2_b, cfg.stage2_lr,

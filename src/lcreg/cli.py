@@ -39,11 +39,11 @@ from .model import (
 )
 from .trainer import (
     COMPONENT_ROWS,
-    EVAL_CHUNK,
     TaskSpec,
     TrainConfig,
     RESULTS_FORMAT_VERSION,
     config_hash,
+    eval_chunks,
     evaluate,
     grid_config_dict,
     make_run_record,
@@ -383,11 +383,10 @@ def _latent_usage_csv(args, task: TaskSpec, cfg: TrainConfig, path: Path) -> int
     d = params.config.encoder.feature_dim
     sums = np.zeros((task.num_classes, m))
     counts = np.zeros(task.num_classes)
-    for start in range(0, len(test.labels), EVAL_CHUNK):
-        xb = test.samples[start:start + EVAL_CHUNK]
-        yb = test.labels[start:start + EVAL_CHUNK]
+    for chunk in eval_chunks(params, len(test.labels)):
+        yb = test.labels[chunk]
         # pooled rows past the features are the mean normalized similarities
-        per_sample = forward(ForwardTape(), params, xb).pooled.data[d:]
+        per_sample = forward(ForwardTape(), params, test.samples[chunk]).pooled.data[d:]
         np.add.at(sums, yb, per_sample.T)
         np.add.at(counts, yb, 1.0)
     usage = sums / counts[:, None]

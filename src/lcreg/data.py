@@ -205,7 +205,7 @@ def save_dataset(dataset: LongTailDataset, dirpath) -> Path:
         "count": int(len(dataset.labels)),
         "seed": int(dataset.seed),
     }
-    flat = dataset.samples.reshape(len(dataset.labels), -1)
+    flat = dataset.samples.reshape(len(dataset.labels), int(np.prod(dataset.sample_shape)))
     # meta.json marks a complete corpus (the cache checks for it), so it goes last
     for name, payload in (("samples.bin", flat.astype("<f4").tobytes()),
                           ("labels.bin", dataset.labels.astype("<u4").tobytes()),

@@ -389,11 +389,12 @@ class ForwardTape(Tape):
     passes that need no gradient (scoring, finite differences).
 
     A recording tape keeps every intermediate alive until the tape is
-    dropped, so a scoring chunk allocates its whole working set and frees it
-    at once, and the allocator may hand those pages back to the system and
-    fault them in again for the next chunk. Here each intermediate is freed
-    as soon as nothing else holds it. Values are bit-identical to a
-    recording tape's.
+    dropped; here each intermediate is freed as soon as nothing else holds
+    it. Values are bit-identical to a recording tape's. Freeing early does
+    not bound a pass's working set: that is the width of the chunk scored
+    (``trainer.EVAL_COLUMNS`` position columns). A chunk too wide for the
+    allocator's trim threshold has its pages handed back to the system at
+    the end of every pass and faulted in again by the next.
     """
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], bwd) -> Tensor:

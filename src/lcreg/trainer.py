@@ -52,7 +52,16 @@ from .tensorio import canonical_json, content_hash
 RESULTS_FORMAT_VERSION = 2
 VOLATILE_KEYS = ("created_at", "wall_time_s")
 DIVERGENCE_LIMIT = 1e6
-EVAL_CHUNK = 256  # samples per forward pass when scoring a whole split
+# Position columns (samples x P) per forward-only scoring pass: the width,
+# not the sample count, sets a pass's working set. Measured on a 2-core VM
+# (numpy 2.4, one BLAS thread) scoring 40,000 vector samples: 256 columns
+# give 1.74M samples/s (per-call overhead), 1,024 to 4,096 give 2.0-2.3M,
+# and 8,192 give 1.3M, because each pass faults 9,360 pages back in once
+# its arrays outgrow the allocator's mmap and trim thresholds. At P = 25,
+# 6,400 columns (256 maps) fault ~16,000 pages per 3,000-map pass; 2,025
+# fault none once the process has freed a block of a few MB (training
+# does), and ~15,000 in a process that has not.
+EVAL_COLUMNS = 2048
 
 
 @dataclass(frozen=True)
@@ -227,18 +236,23 @@ class EvalReport:
         }
 
 
+def eval_chunks(params: ModelParams, n: int) -> list[slice]:
+    """The sample slices one scoring pass over ``n`` samples takes: each
+    holds ``EVAL_COLUMNS`` position columns of ``params``'s model."""
+    width = max(1, EVAL_COLUMNS // params.config.encoder.positions)
+    return [slice(start, start + width) for start in range(0, n, width)]
+
+
 def evaluate(params: ModelParams, dataset: LongTailDataset, train_counts) -> EvalReport:
     """Accuracy on ``dataset``; groups come from the training-set counts."""
     c = dataset.num_classes
-    correct = np.zeros(c, dtype=np.int64)
-    total = np.zeros(c, dtype=np.int64)
-    for start in range(0, len(dataset.labels), EVAL_CHUNK):
-        xb = dataset.samples[start:start + EVAL_CHUNK]
-        yb = dataset.labels[start:start + EVAL_CHUNK]
-        logits = forward(ForwardTape(), params, xb).logits.data
-        pred = logits.argmax(axis=1)
-        np.add.at(correct, yb, pred == yb)
-        np.add.at(total, yb, 1)
+    labels = dataset.labels
+    pred = np.empty(len(labels), dtype=np.intp)
+    for chunk in eval_chunks(params, len(labels)):
+        logits = forward(ForwardTape(), params, dataset.samples[chunk]).logits.data
+        pred[chunk] = logits.argmax(axis=1)
+    correct = np.bincount(labels[pred == labels], minlength=c)
+    total = np.bincount(labels, minlength=c)
     per_class = np.where(total > 0, correct / np.maximum(total, 1), 0.0)
     split = split_classes(train_counts)
 

@@ -9,7 +9,7 @@ import pytest
 
 from lcreg import cli, diffcore, tensorio
 from lcreg.cli import ConfigError, load_settings, main
-from lcreg.data import dataset_cache_dir
+from lcreg.data import LongTailDataset, dataset_cache_dir, load_dataset, save_dataset
 from lcreg.trainer import COMPONENT_GRID, canonical_record_bytes
 
 TINY_SETTINGS = """\
@@ -399,6 +399,18 @@ class TestEval:
         cached = capsys.readouterr().out
         assert main(["eval", "--config", config_file, "--model", checkpoint]) == 0
         assert cached == capsys.readouterr().out
+
+    def test_from_cache_empty_test_split_scores_zero(self, config_file, checkpoint, capsys):
+        assert main(["build-dataset", "--config", config_file]) == 0
+        root = Path(capsys.readouterr().out.strip())
+        test = load_dataset(root / "test")
+        save_dataset(LongTailDataset(test.samples[:0], test.labels[:0],
+                                     np.zeros_like(test.counts), test.seed), root / "test")
+        assert main(["eval", "--config", config_file, "--model", checkpoint,
+                     "--from-cache"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["overall"] == 0.0 and set(printed["per_class"]) == {0.0}
+        assert printed["group_counts"] == {"many": 0, "medium": 0, "few": 0}
 
     @pytest.mark.parametrize("damage", ["missing_test_meta", "truncated_train_meta",
                                         "scalar_sample_shape"])

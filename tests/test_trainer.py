@@ -7,9 +7,9 @@ import pytest
 
 from lcreg import trainer
 from lcreg.baseline import init_baseline, train_baseline
-from lcreg.data import realized_imbalance
+from lcreg.data import LongTailDataset, load_dataset, realized_imbalance, save_dataset
 from lcreg.diffcore import Tape
-from lcreg.model import init_model
+from lcreg.model import ModelConfig, forward, image_encoder, init_model
 from lcreg.trainer import (
     COMPONENT_GRID,
     SGD,
@@ -327,17 +327,69 @@ class TestEvaluate:
         mix = sum(r.group_counts[g] * getattr(r, g) for g in ("many", "medium", "few"))
         assert abs(r.overall - mix / n) <= 1e-12
 
-    def test_per_class_matches_direct_argmax(self):
+    @staticmethod
+    def trained_vector_model():
         cfg = tiny_cfg()
         train, test = make_task_data(TINY_TASK, cfg.seed)
-        result = run_training(cfg, TINY_TASK, datasets=(train, test))
-        from lcreg.model import forward
-        logits = forward(Tape(), result.params, test.samples).logits.data
-        pred = logits.argmax(axis=1)
+        return run_training(cfg, TINY_TASK, datasets=(train, test)).params, test, train.counts
+
+    @staticmethod
+    def image_model(n=300):
+        """A P = 25 conv model and a split of ``n`` maps over 6 classes."""
+        cfg = ModelConfig(image_encoder(1, 11, 11, (8,), 16), num_classes=6, num_latents=4)
+        rng = np.random.default_rng(3)
+        labels = np.arange(n) % 6
+        test = LongTailDataset(rng.standard_normal((n, 1, 11, 11)), labels,
+                               np.bincount(labels, minlength=6), 0)
+        return init_model(cfg, seed=0), test, np.array([90, 60, 40, 20, 10, 5])
+
+    def chunk_sizes(self, monkeypatch, params, dataset, train_counts) -> list[int]:
+        sizes = []
+
+        def spy(tape, params, x_batch, **kw):
+            sizes.append(len(x_batch))
+            return forward(tape, params, x_batch, **kw)
+
+        monkeypatch.setattr(trainer, "forward", spy)
+        evaluate(params, dataset, train_counts)
+        return sizes
+
+    def test_vector_split_goes_in_chunks_of_2048_columns(self, monkeypatch):
+        params = init_model(trainer.model_config(tiny_cfg(), TINY_TASK), seed=0)
+        rng = np.random.default_rng(1)
+        labels = np.arange(5000) % 6
+        split = LongTailDataset(rng.standard_normal((5000, TINY_TASK.input_dim)), labels,
+                                np.bincount(labels, minlength=6), 0)
+        assert params.config.encoder.positions == 1
+        chunks = self.chunk_sizes(monkeypatch, params, split, split.counts)
+        assert chunks == [2048, 2048, 904]
+
+    def test_image_split_goes_in_chunks_of_81_samples(self, monkeypatch):
+        params, test, counts = self.image_model()  # 300 maps
+        assert params.config.encoder.positions == 25
+        assert self.chunk_sizes(monkeypatch, params, test, counts) == [81, 81, 81, 57]
+
+    @pytest.mark.parametrize("model", ["vector", "image"])
+    def test_per_class_matches_direct_argmax(self, model):
+        params, test, counts = (self.trained_vector_model() if model == "vector"
+                                else self.image_model())
+        report = evaluate(params, test, counts)
+        pred = forward(Tape(), params, test.samples).logits.data.argmax(axis=1)
         for c in range(6):
             mask = test.labels == c
             want = float((pred[mask] == c).mean())
-            assert result.report.per_class[c] == pytest.approx(want, abs=1e-12)
+            assert report.per_class[c] == pytest.approx(want, abs=1e-12)
+
+    def test_empty_split_gives_all_zero_report(self, tmp_path):
+        params = init_model(trainer.model_config(tiny_cfg(), TINY_TASK), seed=0)
+        empty = LongTailDataset(np.zeros((0, TINY_TASK.input_dim)), np.zeros(0, np.int64),
+                                np.zeros(6, np.int64), 0)
+        empty = load_dataset(save_dataset(empty, tmp_path / "empty"))
+        assert empty.samples.shape == (0, TINY_TASK.input_dim)
+        report = evaluate(params, empty, np.array([90, 60, 40, 20, 10, 5])).to_dict()
+        assert report == {"overall": 0.0, "many": 0.0, "medium": 0.0, "few": 0.0,
+                          "per_class": [0.0] * 6,
+                          "group_counts": {"many": 0, "medium": 0, "few": 0}}
 
 
 class TestBaselineEquivalence:
@@ -354,6 +406,21 @@ class TestBaselineEquivalence:
         assert result.report.few == report["few"]
         np.testing.assert_allclose(result.report.per_class, report["per_class"],
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 404])
+    def test_default_protocol_matches_bit_for_bit(self, seed):
+        """At the default task and model, a short run with both stages
+        leaves every parameter equal to the reference's, not merely close."""
+        task = TaskSpec()
+        cfg = TrainConfig(variant="baseline", t1_iters=150, t2_iters=40, seed=seed)
+        train, test = make_task_data(task, seed)
+        result = run_training(cfg, task, datasets=(train, test))
+        model, report = train_baseline(cfg, train, test)
+        named = model.named()
+        for p in result.params.parameters():
+            assert np.array_equal(p.value.data, named[p.id]), p.id
+        assert result.report.overall == report["overall"]
+        assert np.array_equal(result.report.per_class, report["per_class"])
 
     def test_shared_initialization_draws(self):
         params = init_model(trainer.model_config(tiny_cfg(variant="baseline"),
