@@ -213,9 +213,9 @@ def sample_augmented(mean: np.ndarray, cov: np.ndarray, lam: float,
 
 def mc_expected_ce(mean: np.ndarray, cov: np.ndarray, lam: float,
                    w: np.ndarray, b: np.ndarray, target: int,
-                   n_samples: int, seed: int,
-                   with_stderr: bool = False):
-    """Monte-Carlo estimate of E[CE(classifier(x), target)], x ~ N(mean, lam cov).
+                   n_samples: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo estimate of E[CE(classifier(x), target)], x ~ N(mean, lam cov),
+    and its standard error.
 
     Pure numpy; independent of the tape implementation on purpose.
     """
@@ -224,8 +224,5 @@ def mc_expected_ce(mean: np.ndarray, cov: np.ndarray, lam: float,
     mx = logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(logits - mx).sum(axis=1)) + mx[:, 0]
     ces = lse - logits[:, int(target)]
-    est = float(ces.mean())
-    if with_stderr:
-        stderr = float(ces.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-        return est, stderr
-    return est
+    stderr = float(ces.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
+    return float(ces.mean()), stderr

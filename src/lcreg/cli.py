@@ -245,16 +245,17 @@ def cmd_train(args) -> int:
         if datasets is None:
             return 1
     result = run_training(cfg, task, datasets=datasets)
-    record = make_run_record(cfg, task, result)
-    write_json(results_path, record)
     with atomic_write(out / "history.jsonl", "w") as fh:
         fh.writelines(json.dumps(row) + "\n" for row in result.history)
+    if not result.diverged:
+        save_model(out / "model.lct", result.params, result.stats,
+                   iteration=cfg.t1_iters + cfg.t2_iters)
+    # written last: a record marks a complete run, so reruns may skip it
+    write_json(results_path, make_run_record(cfg, task, result))
     if result.diverged:
         print(f"training diverged at iteration {result.diverged_at}; "
               f"record written to {results_path}", file=sys.stderr)
         return 1
-    save_model(out / "model.lct", result.params, result.stats,
-               iteration=cfg.t1_iters + cfg.t2_iters)
     print(json.dumps(result.report.to_dict(), indent=2, sort_keys=True))
     return 0
 

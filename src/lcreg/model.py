@@ -7,11 +7,12 @@ vectors; the normalized similarity channels are concatenated onto the
 features, globally average-pooled per sample, and classified by a linear
 decoder. Batches are carried as stacked position columns [D, B*P].
 
-The training objective combines three terms:
+The training objective of every variant (``objective``) combines three terms:
     total = gamma * cls + alpha * reconstruction + beta * latent augmentation
 
 where the augmentation term scores the latent vectors themselves under a
-separate linear pseudo-classifier with identity labels.
+separate linear pseudo-classifier with identity labels. Without a pool the
+augmentation is raw ISDA, a class-wise penalty on the logits inside cls.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensorio
-from .augment import CategoryStats, isda_upper_bound_loss
+from .augment import CategoryStats, classwise_augmented_logits, isda_upper_bound_loss
 from .diffcore import (ForwardTape, GradCheckReport, Parameter, ShapeError, Tape,
                        Tensor, _central_difference_error)
 from .latent import (
@@ -317,22 +318,26 @@ class LossBreakdown:
     latent_aug: float
 
 
-def total_loss(tape: Tape, params: ModelParams, x_batch: np.ndarray, labels,
-               stats: CategoryStats | None, lam: float,
-               weights: LossWeights = LossWeights(),
-               recon_on: bool = True, aug_on: bool = True):
-    """Combined objective. Returns (breakdown, loss node, forward pieces).
+def objective(tape: Tape, params: ModelParams, fwd: ForwardOut, labels,
+              stats: CategoryStats | None, lam: float, weights: LossWeights,
+              aug_on: bool) -> tuple[LossBreakdown, Tensor]:
+    """Stage-1 loss of a forward pass. Returns (breakdown, loss node).
 
-    Terms behind disabled flags are recorded as exact zeros and contribute
-    no gradient. On P = 1 feature maps the reconstruction target is a single
-    position, so its loss is identically log(1) = 0 and is skipped the same
-    way.
+    ``aug_on`` adds the augmentation bound at strength ``lam``: with a pool
+    the latent bound (``stats`` per latent), without one raw ISDA (``stats``
+    per class, the penalty on the logits inside cls, so ``latent_aug`` reads
+    0). Reconstruction is scored when ``fwd`` carries one. Terms left out
+    are recorded as exact zeros and contribute no gradient.
     """
-    cfg = params.config
+    if aug_on and stats is None:
+        raise ValueError("objective: augmentation enabled but no stats given")
     labels = np.asarray(labels, dtype=np.int64)
-    want_corr = recon_on and cfg.latent_on and cfg.encoder.positions > 1
-    fwd = forward(tape, params, x_batch, with_recon_corr=want_corr)
-    cls = tape.cross_entropy(fwd.logits, labels)
+    pool = params.pool
+    logits = fwd.logits
+    if aug_on and pool is None:
+        logits = classwise_augmented_logits(tape, logits, tape.use(params.dec_w),
+                                            labels, stats, lam)
+    cls = tape.cross_entropy(logits, labels)
     loss = tape.scale(cls, weights.gamma)
 
     recon_value = 0.0
@@ -342,12 +347,10 @@ def total_loss(tape: Tape, params: ModelParams, x_batch: np.ndarray, labels,
         loss = tape.add(loss, tape.scale(recon_term, weights.alpha))
 
     aug_value = 0.0
-    if aug_on and cfg.latent_on:
-        if stats is None:
-            raise ValueError("total_loss: augmentation enabled but no stats given")
+    if aug_on and pool is not None:
         aug_term = isda_upper_bound_loss(
             tape,
-            tape.use(params.pool.features),
+            tape.use(pool.features),
             tape.use(params.lat_w),
             tape.use(params.lat_b),
             stats,
@@ -362,6 +365,17 @@ def total_loss(tape: Tape, params: ModelParams, x_batch: np.ndarray, labels,
         recon=recon_value,
         latent_aug=aug_value,
     )
+    return breakdown, loss
+
+
+def total_loss(tape: Tape, params: ModelParams, x_batch: np.ndarray, labels,
+               stats: CategoryStats | None, lam: float,
+               weights: LossWeights = LossWeights(),
+               recon_on: bool = True, aug_on: bool = True):
+    """``forward`` then ``objective``: (breakdown, loss node, forward pieces).
+    At P = 1 ``forward`` skips reconstruction, whose loss is then log(1) = 0."""
+    fwd = forward(tape, params, x_batch, with_recon_corr=recon_on)
+    breakdown, loss = objective(tape, params, fwd, labels, stats, lam, weights, aug_on)
     return breakdown, loss, fwd
 
 

@@ -20,13 +20,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .augment import (
-    AugSchedule,
-    CategoryStats,
-    classwise_augmented_logits,
-    init_stats,
-    update_stats,
-)
+from .augment import AugSchedule, CategoryStats, init_stats, update_stats
 from .data import (
     LongTailDataset,
     batch_stream,
@@ -37,14 +31,13 @@ from .data import (
 )
 from .diffcore import ForwardTape, Tape
 from .model import (
-    LossBreakdown,
     LossWeights,
     ModelConfig,
     ModelParams,
     decode,
     forward,
     init_model,
-    total_loss,
+    objective,
     vector_encoder,
 )
 from .tensorio import canonical_json, content_hash
@@ -84,13 +77,15 @@ class TaskSpec:
 
 
 # What each training variant turns on; ``TrainConfig.variant`` names one row.
+# ``aug_on`` is the semantic augmentation bound: the latent bound with a pool,
+# raw ISDA on class statistics of the pooled features without one.
 COMPONENT_GRID: dict[str, dict] = {
-    "baseline": dict(latent_on=False, recon_on=False, aug_on=False, raw_isda=False),
-    "latent": dict(latent_on=True, recon_on=False, aug_on=False, raw_isda=False),
-    "latent_recon": dict(latent_on=True, recon_on=True, aug_on=False, raw_isda=False),
-    "latent_aug": dict(latent_on=True, recon_on=False, aug_on=True, raw_isda=False),
-    "full": dict(latent_on=True, recon_on=True, aug_on=True, raw_isda=False),
-    "raw_isda": dict(latent_on=False, recon_on=False, aug_on=False, raw_isda=True),
+    "baseline": dict(latent_on=False, recon_on=False, aug_on=False),
+    "latent": dict(latent_on=True, recon_on=False, aug_on=False),
+    "latent_recon": dict(latent_on=True, recon_on=True, aug_on=False),
+    "latent_aug": dict(latent_on=True, recon_on=False, aug_on=True),
+    "full": dict(latent_on=True, recon_on=True, aug_on=True),
+    "raw_isda": dict(latent_on=False, recon_on=False, aug_on=True),
 }
 
 
@@ -125,7 +120,6 @@ class TrainConfig:
     latent_on = _grid_flag("latent_on")
     recon_on = _grid_flag("recon_on")
     aug_on = _grid_flag("aug_on")
-    raw_isda = _grid_flag("raw_isda")
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
@@ -299,14 +293,12 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
         raise ValueError("run_training: dataset does not match task input_dim")
     params = init_model(model_config(cfg, task), cfg.seed)
     weights = LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
-    recon_on, aug_on, raw_isda = cfg.recon_on, cfg.aug_on, cfg.raw_isda
-
+    pool = params.pool
+    schedule = AugSchedule(cfg.lambda0, cfg.t1_iters)
     stats = None
-    if aug_on:
-        stats = init_stats(cfg.num_latents, cfg.feature_dim)
-    elif raw_isda:
-        stats = init_stats(task.num_classes, cfg.feature_dim)
-    schedule = AugSchedule(cfg.lambda0, cfg.t1_iters) if (aug_on or raw_isda) else None
+    if cfg.aug_on:
+        categories = task.num_classes if pool is None else cfg.num_latents
+        stats = init_stats(categories, cfg.feature_dim)
 
     history: list[dict] = []
     diverged = False
@@ -319,32 +311,21 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
         opt.lr = lr_at(cfg, t)
         idx = next(stream)
         xb, yb = train_ds.samples[idx], train_ds.labels[idx]
-        lam = schedule.lambda_at(t + 1) if schedule is not None else 0.0
         tape = Tape()
-        if raw_isda:
-            # class-conditional stats over pooled features, refreshed before
-            # the loss so the bound sees the current batch
-            fwd = forward(tape, params, xb)
+        fwd = forward(tape, params, xb, with_recon_corr=cfg.recon_on)
+        if cfg.aug_on and pool is None:
+            # raw ISDA: class-conditional stats over pooled features take in
+            # the batch before the bound, so the bound sees it
             stats = update_stats(stats, fwd.pooled.data.T, yb)
-            aug_logits = classwise_augmented_logits(
-                tape, fwd.logits, tape.use(params.dec_w), yb, stats, lam
-            )
-            cls = tape.cross_entropy(aug_logits, yb)
-            loss = tape.scale(cls, cfg.gamma)
-            breakdown = LossBreakdown(total=loss.item(), cls=cls.item(), recon=0.0,
-                                      latent_aug=0.0)
-        else:
-            breakdown, loss, fwd = total_loss(
-                tape, params, xb, yb, stats if aug_on else None, lam,
-                weights, recon_on=recon_on, aug_on=aug_on,
-            )
+        breakdown, loss = objective(tape, params, fwd, yb, stats,
+                                    schedule.lambda_at(t + 1), weights, cfg.aug_on)
         opt.zero_grad()
         tape.backward(loss)
         opt.step()
-        if aug_on:
+        if cfg.aug_on and pool is not None:
             # each step contributes the current latents as one observation
             # per category, so counts equal the iteration number
-            stats = update_stats(stats, params.pool.features.value.data,
+            stats = update_stats(stats, pool.features.value.data,
                                  np.arange(cfg.num_latents))
         if not np.isfinite(breakdown.total) or abs(breakdown.total) > DIVERGENCE_LIMIT:
             diverged, diverged_at = True, t

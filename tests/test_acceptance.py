@@ -183,7 +183,6 @@ def test_03_augmented_loss_bounds_sampled_risk():
                 est, stderr = mc_expected_ce(
                     latents[cat], stats.cov[cat], lam, w, b, cat,
                     n_samples=100_000, seed=10_000 * inst + cat,
-                    with_stderr=True,
                 )
                 worst_margin = min(worst_margin,
                                    bound_rows[cat] - (est - 3.0 * stderr))

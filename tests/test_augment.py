@@ -315,7 +315,7 @@ def test_bound_dominates_monte_carlo():
         )
         for cat in range(m):
             est, stderr = mc_expected_ce(
-                latents[cat], cov[cat], lam, w, b, cat, 20000, seed=cat, with_stderr=True
+                latents[cat], cov[cat], lam, w, b, cat, 20000, seed=cat
             )
             assert per_cat_bound[cat] >= est - 3.0 * stderr
         assert mean_loss.item() == pytest.approx(per_cat_bound.mean(), rel=1e-12)

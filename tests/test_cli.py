@@ -183,6 +183,23 @@ class TestTrain:
         assert "skipping" in capsys.readouterr().out
         assert (out / "results.json").read_bytes() == before
 
+    def test_crash_saving_the_model_is_rerun(self, tmp_path, config_file, monkeypatch,
+                                             capsys):
+        # results.json marks a complete run, so it must not outlive a failed save
+        out = tmp_path / "run"
+        args = ["train", "--config", config_file, "--out", str(out)]
+        with monkeypatch.context() as m:
+            def failing_save(*a, **kw):
+                raise OSError("disk full")
+            m.setattr(cli, "save_model", failing_save)
+            with pytest.raises(OSError):
+                main(args)
+        assert not (out / "results.json").exists()
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "skipping" not in capsys.readouterr().out
+        assert (out / "model.lct").exists() and (out / "results.json").exists()
+
     @pytest.mark.parametrize("variant", ["full", "raw_isda"])
     def test_history_lines_are_the_record_rows(self, tmp_path, config_file, variant):
         out = tmp_path / "run"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcreg.augment import init_stats, update_stats
+from lcreg.augment import classwise_augmented_logits, init_stats, update_stats
 from lcreg.diffcore import ForwardTape, Tape
 from lcreg.latent import reconstruction_loss
 from lcreg.model import (
@@ -41,8 +41,10 @@ def small_image_config(latent_on=True):
 
 
 def stats_for(params, rng):
+    """Per-latent stats for a model with a pool, per-class stats without."""
     cfg = params.config
-    m, d = cfg.num_latents, cfg.encoder.feature_dim
+    m = cfg.num_latents if cfg.latent_on else cfg.num_classes
+    d = cfg.encoder.feature_dim
     stats = init_stats(m, d)
     obs = rng.standard_normal((8 * m, d))
     cats = np.repeat(np.arange(m), 8)
@@ -298,11 +300,30 @@ class TestTotalLoss:
         assert breakdown.recon == 0.0
         assert breakdown.latent_aug > 0.0
 
-    def test_aug_requires_stats(self):
-        params = init_model(small_vector_config(), seed=11)
+    @pytest.mark.parametrize("latent_on", [True, False], ids=["pool", "no_pool"])
+    def test_aug_requires_stats(self, latent_on):
+        params = init_model(small_vector_config(latent_on=latent_on), seed=11)
         xb = np.zeros((2, 5))
         with pytest.raises(ValueError):
             total_loss(Tape(), params, xb, [0, 1], None, 0.5)
+
+    def test_aug_without_pool_is_raw_isda(self):
+        # the class-wise bound on the decoder logits, inside the cls term
+        params = init_model(small_vector_config(latent_on=False), seed=15)
+        rng = np.random.default_rng(16)
+        xb = rng.standard_normal((4, 5))
+        labels = np.array([0, 1, 2, 0])
+        stats = stats_for(params, rng)
+        weights = LossWeights(alpha=0.3, beta=0.7, gamma=1.5)
+        breakdown, loss, _ = total_loss(Tape(), params, xb, labels, stats, 0.5, weights,
+                                        recon_on=False, aug_on=True)
+        tape = Tape()
+        logits = classwise_augmented_logits(tape, forward(tape, params, xb).logits,
+                                            tape.use(params.dec_w), labels, stats, 0.5)
+        cls = tape.cross_entropy(logits, labels)
+        assert breakdown.cls == cls.item()
+        assert breakdown.total == loss.item() == tape.scale(cls, weights.gamma).item()
+        assert breakdown.latent_aug == 0.0 and breakdown.recon == 0.0
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -346,7 +367,7 @@ class TestGradientRouting:
         assert g > 0.0
         assert dec > 0.0
 
-    def test_aug_term_reaches_pool_even_with_stop_flag(self):
+    def test_aug_term_reaches_pool_and_pseudo_classifier(self):
         params = init_model(small_vector_config(), seed=22)
         xb, labels = self.batch()
         stats = stats_for(params, np.random.default_rng(23))
@@ -383,6 +404,15 @@ class TestEndToEndGradCheck:
         report = end_to_end_grad_check(params, xb, labels, None, lam=0.0,
                                        recon_on=False, aug_on=False,
                                        tolerance=1e-4)
+        assert report.passed, f"max rel err {report.max_rel_err:.3e}"
+
+    def test_raw_isda_objective(self):
+        params = init_model(small_vector_config(latent_on=False), seed=36)
+        rng = np.random.default_rng(37)
+        xb = rng.standard_normal((4, 5))
+        labels = np.array([0, 1, 2, 0])
+        report = end_to_end_grad_check(params, xb, labels, stats_for(params, rng), lam=0.5,
+                                       recon_on=False, aug_on=True, tolerance=1e-4)
         assert report.passed, f"max rel err {report.max_rel_err:.3e}"
 
 
