@@ -247,7 +247,10 @@ def cmd_train(args) -> int:
     result = run_training(cfg, task, datasets=datasets)
     with atomic_write(out / "history.jsonl", "w") as fh:
         fh.writelines(json.dumps(row) + "\n" for row in result.history)
-    if not result.diverged:
+    if result.diverged:
+        # an earlier run's checkpoint would pass for this config's model
+        (out / "model.lct").unlink(missing_ok=True)
+    else:
         save_model(out / "model.lct", result.params, result.stats,
                    iteration=cfg.t1_iters + cfg.t2_iters)
     # written last: a record marks a complete run, so reruns may skip it

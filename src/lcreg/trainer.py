@@ -46,14 +46,18 @@ RESULTS_FORMAT_VERSION = 2
 VOLATILE_KEYS = ("created_at", "wall_time_s")
 DIVERGENCE_LIMIT = 1e6
 # Position columns (samples x P) per forward-only scoring pass: the width,
-# not the sample count, sets a pass's working set. Measured on a 2-core VM
-# (numpy 2.4, one BLAS thread) scoring 40,000 vector samples: 256 columns
-# give 1.74M samples/s (per-call overhead), 1,024 to 4,096 give 2.0-2.3M,
-# and 8,192 give 1.3M, because each pass faults 9,360 pages back in once
-# its arrays outgrow the allocator's mmap and trim thresholds. At P = 25,
-# 6,400 columns (256 maps) fault ~16,000 pages per 3,000-map pass; 2,025
-# fault none once the process has freed a block of a few MB (training
-# does), and ~15,000 in a process that has not.
+# not the sample count, sets a pass's working set, and with it whether the
+# allocator hands the pass's pages back to the system and faults them in
+# again. Measured in fresh processes on a 2-core VM (numpy 2.4, one BLAS
+# thread) scoring 40,000 vector samples: 256 columns give 1.1-1.4M samples/s
+# (per-call overhead), 2,048 and 4,096 give 1.5-2.1M with no faults (one run
+# of three faulted 6,004 pages per pass at 2,048, at 0.95M), and 1,024 and
+# 8,192 fault 5,383 and 3,006 pages per pass at 1.0-1.7M. At P = 25, 6,400
+# columns (256 maps) fault ~18,700 pages per 3,000-map pass and 2,025 (81
+# maps) ~11,700, both in a process that has freed no block of a few MB; once
+# it has (training does), 2,025 fault none. The width also sets the gemm
+# blocking of every score, so a new width can change the bytes of an
+# evaluation record.
 EVAL_COLUMNS = 2048
 
 

@@ -315,6 +315,20 @@ class TestTrain:
         assert record["diverged"] is True
         assert "diverged" in capsys.readouterr().err
 
+    def test_diverged_rerun_leaves_no_stale_checkpoint(self, tmp_path, config_file,
+                                                       capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out)]) == 0
+        assert (out / "model.lct").exists()
+        diverging = ["--config", config_file, "--set", "train.lr=1e6"]
+        assert main(["train", *diverging, "--out", str(out)]) == 1
+        assert not (out / "model.lct").exists()
+        capsys.readouterr()
+        assert main(["eval", *diverging, "--model", str(out / "model.lct")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "cannot load checkpoint" in captured.err
+
 
 class TestAblate:
     def test_grid_artifacts_and_skip(self, tmp_path, config_file, capsys):

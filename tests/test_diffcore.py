@@ -1,6 +1,7 @@
 """Numeric core: kernel values, gradient checks, accumulation contract."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -8,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcreg import diffcore
-from lcreg.diffcore import GradCheckReport, Parameter, ShapeError, Tape, Tensor, grad_check
+from lcreg.diffcore import (
+    ForwardTape,
+    GradCheckReport,
+    Parameter,
+    ShapeError,
+    Tape,
+    Tensor,
+    grad_check,
+)
 
 
 def test_tensor_is_contiguous_float64():
@@ -50,7 +59,7 @@ def test_sigmoid_extreme_inputs_finite():
 def test_sigmoid_matches_masked_formula_bitwise():
     # reference: the two-branch masked evaluation, computed independently
     x = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 1000.0, -1000.0,
-                  1e-300, -1e-300, 0.5, -0.5, 36.7, -36.7])
+                  1e-300, -1e-300, 5e-324, -5e-324, 0.5, -0.5, 36.7, -36.7])
     x = np.concatenate([x, np.random.default_rng(0).standard_normal(400) * 30.0])
     ref = np.empty_like(x)
     pos = x >= 0
@@ -59,6 +68,112 @@ def test_sigmoid_matches_masked_formula_bitwise():
     ref[~pos] = ex / (1.0 + ex)
     got = Tape().sigmoid(Tensor(x)).data
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_sigmoid_matches_two_quotient_form_bitwise():
+    # reference: the np.where over both quotients the kernel used to take;
+    # unlike the masked form above it pins nan's bits too (exp(-|nan|) is a
+    # negative nan whatever the input's sign)
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0,
+                  5e-324, -5e-324, 1e-300, -1e-300])
+    x = np.concatenate([x, np.random.default_rng(1).standard_normal((24, 2025)).ravel() * 30.0])
+    e = np.exp(-np.abs(x))
+    ref = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    got = Tape().sigmoid(Tensor(x)).data
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+# Kernel outputs and gradients are pinned bit for bit: a record digest
+# hashes every float the training loop produces. The references below are
+# the plain expressions each in-place kernel replaced, at a P = 25 scoring
+# shape (24 latents by 81 maps of 25 positions) with edge values planted.
+_EDGES = np.array([0.0, -0.0, 745.0, -745.0, 700.0, -700.0, 1e-300, -1e-300,
+                   5e-324, -5e-324, 1e150, -1e150, 36.7, -36.7])
+
+
+def _with_edges(shape, seed, scale=3.0):
+    x = np.random.default_rng(seed).standard_normal(shape) * scale
+    planted = np.concatenate([_EDGES, _EDGES[::-1]])[:x.size]
+    x.reshape(-1)[:planted.size] = planted
+    x[..., -1] = x[..., -2]  # a tie for the max
+    return x
+
+
+def _assert_same_bits(got, ref):
+    assert got.shape == ref.shape and got.strides == ref.strides
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _replay(fn, inputs, cotangent):
+    """(output, input gradients) of ``fn`` on a recording tape."""
+    tape = Tape()
+    nodes = [tape.constant(x) for x in inputs]
+    out = fn(tape, *nodes)
+    tape.backward(out, cotangent)
+    return out.data, [tape.grad(n) for n in nodes]
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_softmax_matches_reference_bitwise(axis, order):
+    x = _with_edges((24, 2025), 20)
+    x[:, 7] = 1e150  # a column with one value throughout
+    g = np.asarray(_with_edges((24, 2025), 21), order=order)
+    y, (dx,) = _replay(lambda t, a: t.softmax(a, axis), [x], g)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    ref = e / e.sum(axis=axis, keepdims=True)
+    _assert_same_bits(y, ref)
+    _assert_same_bits(dx, ref * (g - (g * ref).sum(axis=axis, keepdims=True)))
+
+
+def test_cross_entropy_matches_reference_bitwise():
+    x = _with_edges((81, 10), 22)
+    t = np.random.default_rng(23).integers(0, 10, size=81)
+    loss, (dx,) = _replay(lambda tp, a: tp.cross_entropy(a, t), [x], np.array(0.37))
+    rows = np.arange(81)
+    m = x.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(x - m).sum(axis=1, keepdims=True)) + m
+    _assert_same_bits(loss, np.asarray((lse[:, 0] - x[rows, t]).mean()))
+    p = np.exp(x - lse)
+    p[rows, t] -= 1.0
+    _assert_same_bits(dx, p * (0.37 / 81))
+
+
+def test_linear_map_1x1_matches_reference_bitwise():
+    x, w, b = _with_edges((16, 2025), 24), _with_edges((24, 16), 25), _with_edges(24, 26)
+    g = _with_edges((24, 2025), 27)
+    y, (dx, dw, db) = _replay(lambda t, *n: t.linear_map_1x1(*n), [x, w, b], g)
+    _assert_same_bits(y, w @ x + b[:, None])
+    _assert_same_bits(dx, w.T @ g)
+    _assert_same_bits(dw, g @ x.T)
+    _assert_same_bits(db, g.sum(axis=1))
+
+
+def test_mean_pool_segments_matches_reference_bitwise():
+    a = _with_edges((24, 2025), 28)
+    g = _with_edges((24, 81), 29)
+    y, (da,) = _replay(lambda t, n: t.mean_pool_segments(n, 25), [a], g)
+    _assert_same_bits(y, a.reshape(24, 81, 25).mean(axis=2))
+    _assert_same_bits(da, np.repeat(g, 25, axis=1) / 25)
+
+
+@pytest.mark.parametrize("name, fn, make_inputs", diffcore.KERNEL_CHECKS,
+                         ids=[entry[0] for entry in diffcore.KERNEL_CHECKS])
+def test_kernel_writes_only_its_own_arrays(name, fn, make_inputs):
+    # the replay contract: no kernel writes into its inputs or into the
+    # cotangent it is handed, and a forward-only tape computes the same bytes
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    inputs = make_inputs(lambda *shape: rng.standard_normal(shape))
+    kept = [x.copy() for x in inputs]
+    tape = Tape()
+    out = fn(tape, *[tape.constant(x) for x in inputs])
+    cot = rng.standard_normal(out.shape)
+    tape.backward(out, cot)
+    for x, before in zip(inputs, kept):
+        assert x.tobytes() == before.tobytes()
+    assert tape.grad(out).tobytes() == cot.tobytes()  # the seed every rule saw
+    forward_only = fn(ForwardTape(), *[Tensor(x) for x in inputs])
+    assert forward_only.data.tobytes() == out.data.tobytes()
 
 
 def test_softmax_uniform_rows():
