@@ -196,5 +196,5 @@ def evaluate_baseline(model: BaselineModel, dataset, train_counts, chunk: int = 
     }
     for name, idx in groups.items():
         n = int(total[idx].sum()) if len(idx) else 0
-        report[name] = float(correct[idx].sum() / n) if n else 0.0
+        report[name] = float(correct[idx].sum() / n) if n else None
     return report

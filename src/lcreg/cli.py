@@ -2,7 +2,7 @@
 
 Subcommands:
     build-dataset   synthesize a task's train/test splits into the cache
-    train           one training run, or the component grid with --ablate
+    train           one training run, or a study grid with --ablate
     eval            score a saved checkpoint on a task's balanced test split
     gradcheck       run the kernel battery plus an end-to-end derivative check
     report          format results files; optionally export latent usage
@@ -62,8 +62,8 @@ class ConfigError(Exception):
 
 
 def parse_seeds(raw: str) -> list[int]:
-    """A ``--seeds`` value: comma-separated integers, at least one, none
-    repeated."""
+    """A ``--seeds`` value: comma-separated non-negative integers, at least
+    one, none repeated."""
     try:
         seeds = [int(s) for s in raw.split(",") if s.strip() != ""]
     except ValueError:
@@ -72,6 +72,8 @@ def parse_seeds(raw: str) -> list[int]:
         raise ConfigError("--seeds must name at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"--seeds repeats a seed: {raw!r}")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must be non-negative: {raw!r}")
     return seeds
 
 
@@ -160,6 +162,30 @@ def load_settings(config_path, set_pairs, seed=None) -> tuple[TaskSpec, TrainCon
     return task, cfg
 
 
+def parse_rows(config_path, set_pairs, raw_rows) -> dict:
+    """Grid rows from repeated ``--row NAME KEY=VALUE ...``, as
+    ``run_ablation`` takes them: {name: {field: value}}. Each row's pairs
+    go after the --set pairs and must pass every check of a single run."""
+    rows: dict = {}
+    for name, *pairs in raw_rows:
+        where = f"--row {name}"
+        overrides = _parse_pairs(pairs, where)
+        problem = ("repeats a row name" if name in rows else
+                   "sets nothing; give at least one KEY=VALUE" if not overrides else
+                   "cannot set train.seed; --seeds sets it" if "train.seed" in overrides
+                   else None)
+        if problem:
+            raise ConfigError(f"{where}: {problem}")
+        try:
+            task, cfg = load_settings(config_path, [*set_pairs, *pairs])
+        except ConfigError as e:
+            raise ConfigError(f"{where}: {e}")
+        built = {"task": task, "train": cfg}
+        rows[name] = {field: getattr(built[part], field)
+                      for part, field in (key.split(".", 1) for key in overrides)}
+    return rows
+
+
 def _dataset_params(task: TaskSpec, seed: int) -> dict:
     return {"task": asdict(task), "seed": int(seed)}
 
@@ -221,15 +247,19 @@ def cmd_train(args) -> int:
         print("--from-cache cannot be combined with --ablate "
               "(the grid synthesizes each seed's data)", file=sys.stderr)
         return 2
-    if args.seeds is not None and not args.ablate:
-        print("--seeds applies only with --ablate; a single run takes --seed",
+    if args.ablate and args.seed is not None:
+        print("--seed does not apply with --ablate; the grid takes --seeds",
+              file=sys.stderr)
+        return 2
+    if not args.ablate and (args.seeds is not None or args.row):
+        print("--seeds and --row apply only with --ablate; a single run takes --seed",
               file=sys.stderr)
         return 2
     task, cfg = load_settings(args.config, args.set, args.seed)
+    if args.ablate:
+        return _train_ablation(args, task, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.ablate:
-        return _train_ablation(args, task, cfg, out)
 
     results_path = out / "results.json"
     want_hash = config_hash(cfg, task)
@@ -263,15 +293,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _train_ablation(args, task: TaskSpec, cfg: TrainConfig, out: Path) -> int:
+def _train_ablation(args, task: TaskSpec, cfg: TrainConfig) -> int:
     seeds = parse_seeds(DEFAULT_SEEDS if args.seeds is None else args.seeds)
+    rows = parse_rows(args.config, args.set, args.row) if args.row else COMPONENT_ROWS
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "ablation.json"
-    want = content_hash({"config": grid_config_dict(cfg, task, COMPONENT_ROWS),
-                         "seeds": seeds})
+    want = content_hash({"config": grid_config_dict(cfg, task, rows),
+                         "seeds": seeds, "rows": rows})
     if _read_run_record(path).get("ablation_hash") == want:
         print(f"ablation up to date for config {want}; skipping")
         return 0
-    grid = run_ablation(cfg, task, seeds)
+    grid = run_ablation(cfg, task, seeds, rows)
     write_json(path, {"ablation_hash": want, **grid})
     print(json.dumps(grid["summary"], indent=2, sort_keys=True))
     return 0
@@ -339,7 +372,7 @@ def _report_single(record: dict) -> str:
     metrics = record["metrics"]
     if metrics is None:
         return "run diverged; no metrics"
-    rows = [[label, f"{metrics[label]:.4f}"]
+    rows = [[label, "—" if metrics[label] is None else f"{metrics[label]:.4f}"]
             for label in ("overall", "many", "medium", "few")]
     return _format_table(["label", "accuracy"], rows)
 
@@ -350,16 +383,20 @@ def format_grid(grid: dict) -> str:
     it. Δ overall and Δ few difference the two rows' means. Over the seeds
     clean in both rows, "few wins" counts those where the row's few
     accuracy beats baseline's at the same seed, as k/n, and "std Δ few" is
-    the std of the paired per-seed few difference."""
+    the std of the paired per-seed few difference. An empty group (None in
+    every clean seed) prints "—", and so do the few columns of a row whose
+    few group, or baseline's, is empty."""
     labels = ("overall", "many", "medium", "few")
     rows, means, cleans = [], {}, {}
     for name, cell in grid["rows"].items():
         clean = {s: m for s, m in cell["seeds"].items() if "error" not in m}
-        vals = {label: np.array([m[label] for m in clean.values()]) for label in labels}
-        rows.append([name, *(f"{v.mean():.4f} ± {v.std():.4f}" if clean else "diverged"
-                             for v in vals.values()),
+        vals = {label: np.array([m[label] for m in clean.values() if m[label] is not None])
+                for label in labels}
+        rows.append([name, *(("—" if not v.size else f"{v.mean():.4f} ± {v.std():.4f}")
+                             if clean else "diverged" for v in vals.values()),
                      f"{len(clean)}/{len(cell['seeds'])}"])
-        means[name] = {label: v.mean() for label, v in vals.items()} if clean else None
+        means[name] = ({label: v.mean() if v.size else None for label, v in vals.items()}
+                       if clean else None)
         cleans[name] = clean
     headers = ["variant", *labels, "clean"]
     base = means.get("baseline")
@@ -367,6 +404,9 @@ def format_grid(grid: dict) -> str:
         headers += ["Δ overall", "Δ few", "few wins", "std Δ few"]
         base_clean = cleans["baseline"]
         for row, (name, mean) in zip(rows, means.items()):
+            if mean is not None and None in (mean["few"], base["few"]):
+                row += [f"{mean['overall'] - base['overall']:+.4f}", "—", "—", "—"]
+                continue
             row += [f"{mean[k] - base[k]:+.4f}" if mean else "" for k in ("overall", "few")]
             paired = np.array([m["few"] - base_clean[s]["few"]
                                for s, m in cleans[name].items() if s in base_clean])
@@ -457,9 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run training and write results + checkpoint")
     common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--ablate", action="store_true", help="run the component grid")
+    p.add_argument("--ablate", action="store_true",
+                   help="run a study grid: each --row, or the component grid")
     p.add_argument("--seeds",
                    help=f"comma-separated seeds for --ablate (default {DEFAULT_SEEDS})")
+    p.add_argument("--row", action="append", nargs="+", metavar=("NAME", "KEY=VALUE"),
+                   help="one grid row for --ablate: its name and the task.* or train.* "
+                        "settings it overrides (repeatable)")
     p.add_argument("--from-cache", action="store_true",
                    help="load datasets from the cache instead of synthesizing "
                         "(not with --ablate)")

@@ -16,7 +16,7 @@ draws untouched and runs rerun bit-identically.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -215,11 +215,13 @@ class EvalReport:
     """Balanced-test accuracy overall, per class, and by frequency group.
 
     Group accuracies are sample-weighted: overall equals the count-weighted
-    mean of the group accuracies up to rounding."""
+    mean of the group accuracies up to rounding. A group with no test sample
+    (say ``many`` when no class has more than 100 training samples) has no
+    accuracy: None."""
     overall: float
-    many: float
-    medium: float
-    few: float
+    many: float | None
+    medium: float | None
+    few: float | None
     per_class: np.ndarray
     group_counts: dict
 
@@ -254,11 +256,11 @@ def evaluate(params: ModelParams, dataset: LongTailDataset, train_counts) -> Eva
     per_class = np.where(total > 0, correct / np.maximum(total, 1), 0.0)
     split = split_classes(train_counts)
 
-    def group_acc(classes) -> tuple[float, int]:
+    def group_acc(classes) -> tuple[float | None, int]:
         idx = sorted(classes)
         n = int(total[idx].sum()) if idx else 0
         if n == 0:
-            return 0.0, 0
+            return None, 0
         return float(correct[idx].sum() / n), n
 
     many, n_many = group_acc(split.many)
@@ -407,21 +409,34 @@ def canonical_record_bytes(record: dict) -> bytes:
 
 def grid_config_dict(cfg: TrainConfig, task: TaskSpec, rows: dict) -> dict:
     """The config a study grid stores and hashes: ``config_dict`` without
-    the ``train`` fields that every row overrides."""
+    the ``task`` and ``train`` fields that every row overrides, and without
+    ``seed``, which each cell takes from the grid's seeds."""
     d = config_dict(cfg, task)
-    for key in set(d["train"]).intersection(*rows.values()):
-        del d["train"][key]
+    dropped = set(d["task"]).union(d["train"]).intersection(*rows.values()) | {"seed"}
+    for part in d.values():
+        for key in dropped.intersection(part):
+            del part[key]
     return d
 
 
 # one row per training variant
 COMPONENT_ROWS = {name: {"variant": name} for name in COMPONENT_GRID}
+TASK_FIELDS = frozenset(f.name for f in fields(TaskSpec))
+
+
+def _mean_known(values) -> float | None:
+    """Mean over the runs that have a value (a group accuracy is None where
+    the group is empty); None if none has."""
+    known = [v for v in values if v is not None]
+    return float(np.mean(known)) if known else None
 
 
 def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,
                  rows: dict = COMPONENT_ROWS) -> dict:
-    """A study grid over shared per-seed datasets. ``rows`` maps each row
-    name to the TrainConfig fields it overrides.
+    """A study grid. ``rows`` maps each row name to the TaskSpec and
+    TrainConfig fields it overrides; the two share no field name, so the
+    name says which one a field belongs to. Cells with the same task and
+    seed share one dataset.
 
     Returns the grid file: {"config": grid_config_dict(...), "seeds": [...],
     "rows": {name: {"seeds": {seed: metrics-or-error}}},
@@ -432,12 +447,16 @@ def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,
         raise ValueError(f"run_ablation: repeated seed in {seeds}")
     out: dict = {"config": grid_config_dict(base_cfg, task, rows),
                  "seeds": seeds, "rows": {}, "summary": {}}
-    data_cache = {s: make_task_data(task, s) for s in seeds}
+    data_cache = {}
     for name, overrides in rows.items():
+        row_task = replace(task, **{k: v for k, v in overrides.items() if k in TASK_FIELDS})
+        train_overrides = {k: v for k, v in overrides.items() if k not in TASK_FIELDS}
         per_seed = {}
         for s in seeds:
-            cfg = replace(base_cfg, seed=s, **overrides)
-            result = run_training(cfg, task, datasets=data_cache[s])
+            if (row_task, s) not in data_cache:
+                data_cache[row_task, s] = make_task_data(row_task, s)
+            cfg = replace(base_cfg, seed=s, **train_overrides)
+            result = run_training(cfg, row_task, datasets=data_cache[row_task, s])
             if result.diverged:
                 per_seed[s] = {"error": "diverged", "at": result.diverged_at}
             else:
@@ -446,7 +465,7 @@ def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,
         clean = [m for m in per_seed.values() if "error" not in m]
         if clean:
             out["summary"][name] = {
-                key: float(np.mean([m[key] for m in clean]))
+                key: _mean_known([m[key] for m in clean])
                 for key in ("overall", "many", "medium", "few")
             }
             out["summary"][name]["num_clean"] = len(clean)

@@ -346,19 +346,21 @@ class TestAblate:
         assert "skipping" in capsys.readouterr().out
 
     def test_variant_setting_does_not_rerun_grid(self, tmp_path, config_file, capsys):
-        # every grid row sets its own variant, so the base value is not
-        # part of the grid's stored config or hash
+        # every grid row sets its own variant, and every cell takes its seed
+        # from --seeds, so neither base value is part of the grid's stored
+        # config or hash
         out = tmp_path / "grid"
         args = ["train", "--config", config_file, "--out", str(out),
                 "--ablate", "--seeds", "0",
                 "--set", "train.t1_iters=10", "--set", "train.t2_iters=2"]
         assert main(args) == 0
         payload = json.loads((out / "ablation.json").read_text())
-        assert "variant" not in payload["config"]["train"]
-        capsys.readouterr()
-        assert main([*args, "--set", "train.variant=raw_isda"]) == 0
-        printed = capsys.readouterr().out
-        assert printed.startswith("ablation up to date") and "skipping" in printed
+        assert not {"variant", "seed"} & set(payload["config"]["train"])
+        for setting in ("train.variant=raw_isda", "train.seed=7"):
+            capsys.readouterr()
+            assert main([*args, "--set", setting]) == 0
+            printed = capsys.readouterr().out
+            assert printed.startswith("ablation up to date") and "skipping" in printed
 
     def test_corrupt_ablation_file_is_rerun(self, tmp_path, config_file, capsys):
         out = tmp_path / "grid"
@@ -372,22 +374,100 @@ class TestAblate:
 
     def test_seeds_without_ablate_is_usage_error(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
-        for seeds in ("7", "7,7,x", ""):
+        for flag, *values in (["--seeds", "7"], ["--seeds", "7,7,x"], ["--seeds", ""],
+                              ["--row", "a", "train.alpha=1"]):
             assert main(["train", "--config", config_file, "--out", str(out),
-                         "--seeds", seeds]) == 2
+                         flag, *values]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and len(captured.err.splitlines()) == 1
-            assert "--seeds" in captured.err
+            assert flag in captured.err
         assert not out.exists()
 
     def test_bad_seeds_is_usage_error(self, tmp_path, config_file, capsys):
         # a repeated seed would train every row twice and keep one run
-        for seeds in ("0,x", ",", "0,0", ""):
-            assert main(["train", "--config", config_file, "--out", str(tmp_path),
+        out = tmp_path / "grid"
+        for seeds in ("0,x", ",", "0,0", "", "0,-1"):
+            assert main(["train", "--config", config_file, "--out", str(out),
                          "--ablate", "--seeds", seeds]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and len(captured.err.splitlines()) == 1
-        assert not (tmp_path / "ablation.json").exists()
+        assert not out.exists()
+
+    def test_seed_with_ablate_is_usage_error(self, tmp_path, config_file, capsys):
+        out = tmp_path / "grid"
+        assert main(["train", "--config", config_file, "--out", str(out),
+                     "--ablate", "--seed", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "--seed" in captured.err and not out.exists()
+
+    @staticmethod
+    def _sweep_args(config_file, out, seeds, pairs):
+        args = ["train", "--config", config_file, "--out", str(out), "--ablate",
+                "--seeds", seeds, "--set", "train.t1_iters=20", "--set", "train.t2_iters=5"]
+        for a, b in pairs:
+            args += ["--row", f"{a},{b}", "train.variant=full",
+                     f"train.alpha={a}", f"train.beta={b}"]
+        return args
+
+    def test_row_sweep_writes_grid_and_report(self, tmp_path, config_file, capsys):
+        out = tmp_path / "sweep"
+        assert main(self._sweep_args(config_file, out, "0", [(1, 1), (0.1, 0.1)])) == 0
+        payload = json.loads((out / "ablation.json").read_text())
+        assert set(payload) == {"ablation_hash", "config", "seeds", "rows", "summary"}
+        assert payload["seeds"] == [0]
+        # every row sets these, and --seeds sets the seed, so the stored
+        # config omits them
+        assert not {"variant", "alpha", "beta", "seed"} & set(payload["config"]["train"])
+
+        capsys.readouterr()
+        assert main(["report", "--results", str(out / "ablation.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("variant") and "Δ" not in lines[0]
+        body = [line for line in lines[2:] if line.strip()]
+        assert sorted(line.split()[0] for line in body) == ["0.1,0.1", "1,1"]
+
+    def test_row_sweep_rejects_repeated_seed(self, tmp_path, config_file, capsys):
+        out = tmp_path / "sweep"
+        assert main(self._sweep_args(config_file, out, "0,0", [(1, 1)])) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "repeats a seed" in err[0]
+        assert not out.exists()
+
+    def test_rows_enter_the_hash(self, tmp_path, config_file, capsys):
+        out = tmp_path / "grid"
+        args = ["train", "--config", config_file, "--out", str(out), "--ablate",
+                "--seeds", "0", "--set", "train.t1_iters=10", "--set", "train.t2_iters=2"]
+        assert main([*args, "--row", "a", "train.alpha=1"]) == 0
+        first = json.loads((out / "ablation.json").read_text())["ablation_hash"]
+        capsys.readouterr()
+        assert main([*args, "--row", "a", "train.alpha=2"]) == 0
+        assert "skipping" not in capsys.readouterr().out
+        assert json.loads((out / "ablation.json").read_text())["ablation_hash"] != first
+
+    @pytest.mark.parametrize("rows, fragment", [
+        ([["a", "train.alpha=1"], ["a", "train.beta=1"]], "repeats a row name"),
+        ([["a"]], "sets nothing"),
+        ([["a", "train.seed=3"]], "train.seed"),
+        ([["a", "train.nope=1"]], "unknown key 'train.nope'"),
+        ([["a", "train.alpha=x"]], "expected a number"),
+        ([["a", "alpha"]], "expected key=value"),
+        # a value only the class profile rejects
+        ([["a", "task.imbalance=0.5"]], "--row a:"),
+    ])
+    def test_bad_row_is_usage_error(self, tmp_path, config_file, capsys, rows, fragment):
+        out = tmp_path / "grid"
+        args = ["train", "--config", config_file, "--out", str(out), "--ablate",
+                "--seeds", "0"]
+        for row in rows:
+            args += ["--row", *row]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: --row a")
+        assert fragment in err[0]
+        assert not out.exists()
 
 
 class TestEval:
@@ -597,6 +677,52 @@ class TestReport:
             # +0.10 at each of the three paired seeds
             assert rows["latent"][-2:] == ["3/3", f"{np.std([0.1, 0.1, 0.1]):.4f}"]
             assert rows["raw_isda"][-1] == "0/0"
+
+    def test_empty_group_prints_dash(self, tmp_path, config_file, capsys):
+        # no class of the tiny task has more than 100 samples
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out)]) == 0
+        assert json.loads((out / "results.json").read_text())["metrics"]["many"] is None
+        capsys.readouterr()
+        assert main(["report", "--results", str(out / "results.json")]) == 0
+        table = {line.split()[0]: line.split()[1]
+                 for line in capsys.readouterr().out.splitlines()[2:]}
+        assert table["many"] == "—" and table["few"] != "—"
+
+        grid = tmp_path / "grid"
+        assert main(["train", "--config", config_file, "--out", str(grid), "--ablate",
+                     "--seeds", "0,1", "--row", "baseline", "train.variant=baseline",
+                     "--row", "latent", "train.variant=latent",
+                     "--set", "train.t1_iters=10", "--set", "train.t2_iters=2"]) == 0
+        summary = json.loads((grid / "ablation.json").read_text())["summary"]
+        assert all(row["many"] is None for row in summary.values())
+        capsys.readouterr()
+        assert main(["report", "--results", str(grid / "ablation.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in lines[2:]:
+            # name, then overall as mean ± std, then many
+            assert line.split()[4] == "—" and "0.0000 ± 0.0000" not in line
+
+    def test_grid_report_skips_empty_few_group(self, capsys):
+        def cell(few):
+            return {"overall": 0.5, "many": 0.6, "medium": 0.5, "few": few}
+
+        grid = {"config": {}, "seeds": [0, 1], "summary": {}, "rows": {
+            "baseline": {"seeds": {0: cell(0.2), 1: cell(0.3)}},
+            # a row whose task leaves no class with fewer than 20 samples
+            "if10": {"seeds": {0: cell(None), 1: cell(None)}},
+            "full": {"seeds": {0: cell(0.3), 1: cell(0.2)}},
+        }}
+        rows = {line.split()[0]: line.split()
+                for line in cli.format_grid(grid).splitlines()[2:]}
+        # few cell, clean count, then the four columns against baseline
+        assert rows["if10"][-6:] == ["—", "2/2", "+0.0000", "—", "—", "—"]
+        assert rows["full"][-4:] == ["+0.0000", "+0.0000", "1/2", "0.1000"]
+        # an empty few group in baseline leaves no row a few comparison
+        grid["rows"]["baseline"] = grid["rows"].pop("if10")
+        rows = {line.split()[0]: line.split()
+                for line in cli.format_grid(grid).splitlines()[2:]}
+        assert rows["full"][-4:] == ["+0.0000", "—", "—", "—"]
 
     def test_missing_results_file(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "none.json")]) == 1

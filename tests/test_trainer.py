@@ -2,6 +2,8 @@
 run records, the component grid, and exact agreement with the independent
 plain-classifier implementation when every component is off."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from lcreg.baseline import init_baseline, train_baseline
 from lcreg.data import LongTailDataset, load_dataset, realized_imbalance, save_dataset
 from lcreg.diffcore import Tape
 from lcreg.model import ModelConfig, forward, image_encoder, init_model
+from lcreg.tensorio import canonical_json
 from lcreg.trainer import (
     COMPONENT_GRID,
     SGD,
@@ -324,7 +327,9 @@ class TestEvaluate:
         result = run_training(cfg, TINY_TASK)
         r = result.report
         n = sum(r.group_counts.values())
-        mix = sum(r.group_counts[g] * getattr(r, g) for g in ("many", "medium", "few"))
+        # no class of the tiny task has more than 100 samples: "many" is empty
+        assert r.many is None and r.group_counts["many"] == 0
+        mix = sum(r.group_counts[g] * getattr(r, g) for g in ("medium", "few"))
         assert abs(r.overall - mix / n) <= 1e-12
 
     @staticmethod
@@ -387,7 +392,8 @@ class TestEvaluate:
         empty = load_dataset(save_dataset(empty, tmp_path / "empty"))
         assert empty.samples.shape == (0, TINY_TASK.input_dim)
         report = evaluate(params, empty, np.array([90, 60, 40, 20, 10, 5])).to_dict()
-        assert report == {"overall": 0.0, "many": 0.0, "medium": 0.0, "few": 0.0,
+        # a group with no test sample has no accuracy
+        assert report == {"overall": 0.0, "many": None, "medium": None, "few": None,
                           "per_class": [0.0] * 6,
                           "group_counts": {"many": 0, "medium": 0, "few": 0}}
 
@@ -490,3 +496,50 @@ class TestAblation:
         out1 = run_ablation(cfg, TINY_TASK, seeds=[2])
         out2 = run_ablation(cfg, TINY_TASK, seeds=[2])
         assert out1["rows"] == out2["rows"]
+
+    def test_task_and_train_configs_share_no_field_name(self):
+        # a row's field name alone says which of the two it overrides
+        assert not ({f.name for f in fields(TaskSpec)}
+                    & {f.name for f in fields(TrainConfig)})
+
+    def test_grid_config_drops_fields_every_row_sets(self):
+        rows = {"a": {"imbalance": 10.0, "alpha": 1.0}, "b": {"imbalance": 50.0}}
+        d = trainer.grid_config_dict(tiny_cfg(), TINY_TASK, rows)
+        assert "imbalance" not in d["task"] and d["task"]["n_max"] == 60
+        # alpha is set by one row only; the seed by every cell
+        assert d["train"]["alpha"] == 0.1 and "seed" not in d["train"]
+
+    def test_task_row_trains_on_its_own_data(self, monkeypatch):
+        cfg = tiny_cfg(t1_iters=20, t2_iters=4)
+        plain = {"baseline": {"variant": "baseline"}, "latent": {"variant": "latent"}}
+        rows = {"baseline": plain["baseline"],
+                "if50": {"variant": "latent", "imbalance": 50.0},
+                "latent": plain["latent"]}
+        row_task = replace(TINY_TASK, imbalance=50.0)
+        calls = []
+        inner = trainer.run_training
+
+        def spy(cfg, task, datasets=None):
+            calls.append((cfg.seed, task, datasets))
+            return inner(cfg, task, datasets=datasets)
+
+        monkeypatch.setattr(trainer, "run_training", spy)
+        grid = run_ablation(cfg, TINY_TASK, [0, 1], rows=rows)
+        for seed, task, (train, test) in calls:
+            want_train, want_test = make_task_data(task, seed)
+            assert np.array_equal(train.samples, want_train.samples)
+            assert np.array_equal(test.labels, want_test.labels)
+        assert [task for _, task, _ in calls].count(row_task) == 2
+        # rows with the same task share each seed's dataset
+        shared = {(seed, id(data)) for seed, task, data in calls if task == TINY_TASK}
+        assert len(shared) == 2
+
+        monkeypatch.setattr(trainer, "run_training", inner)
+        direct = run_training(replace(cfg, seed=1, variant="latent"), row_task)
+        assert grid["rows"]["if50"]["seeds"][1] == direct.report.to_dict()
+        without = run_ablation(cfg, TINY_TASK, [0, 1], rows=plain)
+        for name in plain:
+            assert canonical_json(grid["rows"][name]) == canonical_json(without["rows"][name])
+            assert grid["summary"][name] == without["summary"][name]
+        # no class of the tiny task has more than 100 samples
+        assert all(row["many"] is None for row in grid["summary"].values())
