@@ -385,7 +385,10 @@ def format_grid(grid: dict) -> str:
     accuracy beats baseline's at the same seed, as k/n, and "std Δ few" is
     the std of the paired per-seed few difference. An empty group (None in
     every clean seed) prints "—", and so do the few columns of a row whose
-    few group, or baseline's, is empty."""
+    few group, or baseline's, is empty. A row is compared with baseline only
+    when both run the same task (the grid's task plus the row's own "task"
+    overrides); otherwise all four columns print "—", since each task has
+    its own frequency split."""
     labels = ("overall", "many", "medium", "few")
     rows, means, cleans = [], {}, {}
     for name, cell in grid["rows"].items():
@@ -403,7 +406,12 @@ def format_grid(grid: dict) -> str:
     if base is not None:
         headers += ["Δ overall", "Δ few", "few wins", "std Δ few"]
         base_clean = cleans["baseline"]
+        grid_task = grid["config"].get("task", {})
+        base_task = {**grid_task, **grid["rows"]["baseline"].get("task", {})}
         for row, (name, mean) in zip(rows, means.items()):
+            if {**grid_task, **grid["rows"][name].get("task", {})} != base_task:
+                row += ["—"] * 4
+                continue
             if mean is not None and None in (mean["few"], base["few"]):
                 row += [f"{mean['overall'] - base['overall']:+.4f}", "—", "—", "—"]
                 continue

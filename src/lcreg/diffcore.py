@@ -55,7 +55,8 @@ class Parameter:
 
     def __init__(self, value, pid: str):
         self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.grad = Tensor(np.zeros_like(self.value.data))
+        # np.zeros on the shape is several times faster than np.zeros_like
+        self.grad = Tensor(np.zeros(self.value.shape))
         self.id = str(pid)
 
     def zero_grad(self) -> None:

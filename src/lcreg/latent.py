@@ -39,9 +39,6 @@ class LatentPool:
             raise ValueError("LatentPool: need at least one latent vector")
         if self.enc_w.value.shape != (d, d) or self.enc_b.value.shape != (d,):
             raise ValueError("LatentPool: encoder map shapes do not match D")
-        for p in (self.features, self.enc_w, self.enc_b):
-            if not np.isfinite(p.value.data).all():
-                raise ValueError("LatentPool: non-finite parameter")
 
     @property
     def num_latents(self) -> int:

@@ -164,37 +164,53 @@ def _encoder_layer_dims(cfg: EncoderConfig) -> list[tuple[int, int]]:
     return layers
 
 
+def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Parameter id -> shape, in ``ModelParams.parameters()`` order: the one
+    table that ``init_model`` draws and ``load_model`` checks against."""
+    shapes = {}
+    for i, (fan_out, fan_in) in enumerate(_encoder_layer_dims(cfg.encoder)):
+        shapes[f"enc.{i}.w"] = (fan_out, fan_in)
+        shapes[f"enc.{i}.b"] = (fan_out,)
+    m, d = cfg.num_latents, cfg.encoder.feature_dim
+    if cfg.latent_on:
+        shapes.update({"pool.features": (m, d), "pool.enc_w": (d, d), "pool.enc_b": (d,)})
+    shapes.update({"dec.w": (cfg.num_classes, cfg.fused_channels), "dec.b": (cfg.num_classes,)})
+    if cfg.latent_on:
+        shapes.update({"latcls.w": (m, d), "latcls.b": (m,)})
+    return shapes
+
+
+def _assemble(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelParams:
+    """ModelParams whose parameters hold ``arrays`` (id -> array, in
+    ``parameter_shapes`` order) as their values, uncopied."""
+    it = iter([Parameter(value, pid) for pid, value in arrays.items()])
+    encoder = [next(it) for _ in range(2 * len(_encoder_layer_dims(cfg.encoder)))]
+    pool = LatentPool(next(it), next(it), next(it)) if cfg.latent_on else None
+    dec_w, dec_b = next(it), next(it)
+    lat_w, lat_b = (next(it), next(it)) if cfg.latent_on else (None, None)
+    return ModelParams(cfg, encoder, pool, dec_w, dec_b, lat_w, lat_b)
+
+
 def init_model(cfg: ModelConfig, seed: int) -> ModelParams:
     """Parameter groups drawn from independent child streams of one seed, so
-    configurations that share a group share its exact initialization."""
-    enc_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 101]))
-    encoder = []
-    for i, (fan_out, fan_in) in enumerate(_encoder_layer_dims(cfg.encoder)):
-        w = enc_rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
-        encoder.append(Parameter(w, f"enc.{i}.w"))
-        encoder.append(Parameter(np.zeros(fan_out), f"enc.{i}.b"))
+    configurations that share a group share its exact initialization.
+    Biases start at zero."""
+    def stream(key: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence([int(seed), key]))
 
-    dec_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 103]))
-    dec_w = dec_rng.standard_normal((cfg.num_classes, cfg.fused_channels))
-    dec_w /= np.sqrt(cfg.fused_channels)
-
-    pool = lat_w = lat_b = None
+    shapes = parameter_shapes(cfg)
+    arrays = {pid: np.zeros(shape) for pid, shape in shapes.items()}
+    enc_rng = stream(101)
+    for pid, shape in shapes.items():
+        if pid.startswith("enc.") and pid.endswith(".w"):
+            arrays[pid] = enc_rng.standard_normal(shape) / np.sqrt(shape[1])
+    arrays["dec.w"] = stream(103).standard_normal(shapes["dec.w"]) / np.sqrt(cfg.fused_channels)
     if cfg.latent_on:
-        pool = init_pool(cfg.num_latents, cfg.encoder.feature_dim, seed)
-        lat_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 107]))
-        lw = lat_rng.standard_normal((cfg.num_latents, cfg.encoder.feature_dim))
-        lat_w = Parameter(lw / np.sqrt(cfg.encoder.feature_dim), "latcls.w")
-        lat_b = Parameter(np.zeros(cfg.num_latents), "latcls.b")
-
-    return ModelParams(
-        config=cfg,
-        encoder=encoder,
-        pool=pool,
-        dec_w=Parameter(dec_w, "dec.w"),
-        dec_b=Parameter(np.zeros(cfg.num_classes), "dec.b"),
-        lat_w=lat_w,
-        lat_b=lat_b,
-    )
+        d = cfg.encoder.feature_dim
+        pool = init_pool(cfg.num_latents, d, seed)
+        arrays.update((p.id, p.value.data) for p in pool.parameters())
+        arrays["latcls.w"] = stream(107).standard_normal(shapes["latcls.w"]) / np.sqrt(d)
+    return _assemble(cfg, arrays)
 
 
 _PATCH_INDEX_CACHE: dict[tuple, np.ndarray] = {}
@@ -409,15 +425,14 @@ def end_to_end_grad_check(params: ModelParams, x_batch: np.ndarray, labels,
 
 
 CHECKPOINT_META_VERSION = 1
+STATS_IDS = ("stats.count", "stats.mean", "stats.cov")
 
 
 def save_model(path, params: ModelParams, stats: CategoryStats | None, iteration: int):
     """Single-file checkpoint: all parameter groups, stats, iteration."""
     tensors = {p.id: p.value.data for p in params.parameters()}
     if stats is not None:
-        tensors["stats.count"] = stats.count.astype(np.float64)
-        tensors["stats.mean"] = stats.mean
-        tensors["stats.cov"] = stats.cov
+        tensors.update(zip(STATS_IDS, (stats.count.astype(np.float64), stats.mean, stats.cov)))
     meta = {
         "checkpoint_version": CHECKPOINT_META_VERSION,
         "iteration": int(iteration),
@@ -431,29 +446,31 @@ def save_model(path, params: ModelParams, stats: CategoryStats | None, iteration
 
 
 def load_model(path, cfg: ModelConfig):
-    """Rebuild (params, stats, iteration) from a checkpoint for ``cfg``."""
+    """Rebuild (params, stats, iteration) from a checkpoint for ``cfg``. Every
+    parameter and, when stored, every stats tensor must be finite."""
     tensors, meta = tensorio.load_tensors(path)
     if meta.get("checkpoint_version") != CHECKPOINT_META_VERSION:
         raise ValueError("load_model: unsupported checkpoint version")
     if meta.get("num_classes") != cfg.num_classes or meta.get("latent_on") != int(cfg.latent_on):
         raise ValueError("load_model: checkpoint does not match the model config")
-    params = init_model(cfg, seed=0)
-    for p in params.parameters():
-        if p.id not in tensors:
-            raise ValueError(f"load_model: checkpoint missing tensor {p.id}")
-        if tensors[p.id].shape != p.value.shape:
-            raise ValueError(f"load_model: shape mismatch for {p.id}")
-        p.value.data[...] = tensors[p.id]
-    stats = None
-    if meta.get("has_stats"):
-        for name in ("stats.count", "stats.mean", "stats.cov"):
-            if name not in tensors:
-                raise ValueError(f"load_model: checkpoint missing tensor {name}")
-        stats = CategoryStats(
-            count=tensors["stats.count"].astype(np.int64),
-            mean=tensors["stats.mean"],
-            cov=tensors["stats.cov"],
-        )
+    shapes = parameter_shapes(cfg)
+    # stats shapes follow the variant, not cfg; CategoryStats checks them
+    # against each other
+    expected = {**shapes, **dict.fromkeys(STATS_IDS)} if meta.get("has_stats") else shapes
+    for name, shape in expected.items():
+        if name not in tensors:
+            raise ValueError(f"load_model: checkpoint missing tensor {name}")
+        if shape is not None and tensors[name].shape != shape:
+            raise ValueError(f"load_model: shape mismatch for {name}")
+    # one pass over all values; the per-tensor search runs only on failure
+    if not np.isfinite(np.concatenate([tensors[name] for name in expected], axis=None)).all():
+        bad = next(name for name in expected if not np.isfinite(tensors[name]).all())
+        raise ValueError(f"load_model: non-finite value in tensor {bad}")
     if "iteration" not in meta:
         raise ValueError("load_model: checkpoint has no iteration")
+    params = _assemble(cfg, {pid: tensors[pid] for pid in shapes})
+    stats = None
+    if meta.get("has_stats"):
+        count, mean, cov = (tensors[name] for name in STATS_IDS)
+        stats = CategoryStats(count=count.astype(np.int64), mean=mean, cov=cov)
     return params, stats, meta["iteration"]

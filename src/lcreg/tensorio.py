@@ -65,22 +65,25 @@ def content_hash(payload) -> str:
     return hashlib.sha256(canonical_json(payload)).hexdigest()[:16]
 
 
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
+
+
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, int] | None = None) -> Path:
     path = Path(path)
-    parts = [MAGIC, struct.pack("<I", VERSION)]
     meta = meta or {}
-    parts.append(struct.pack("<I", len(meta)))
+    parts = [MAGIC, _U32.pack(VERSION), _U32.pack(len(meta))]
     for key in sorted(meta):
         kb = key.encode()
-        parts.append(struct.pack("<H", len(kb)) + kb + struct.pack("<q", int(meta[key])))
-    parts.append(struct.pack("<I", len(tensors)))
+        parts += (_U16.pack(len(kb)), kb, _I64.pack(int(meta[key])))
+    parts.append(_U32.pack(len(tensors)))
     for name in sorted(tensors):
-        arr = np.asarray(tensors[name], dtype=np.float64)
+        # joined as a buffer: the payload is copied once, into the file body
+        arr = np.asarray(tensors[name], dtype="<f8", order="C")
         nb = name.encode()
-        parts.append(struct.pack("<H", len(nb)) + nb)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        parts.append(arr.astype("<f8").tobytes())
+        parts += (_U16.pack(len(nb)), nb, bytes((arr.ndim,)),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr)
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as fh:
         fh.write(b"".join(parts))
@@ -88,41 +91,69 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, int] | No
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, int]]:
-    """Read a container; a short, cut or malformed file raises ValueError."""
-    blob = memoryview(Path(path).read_bytes())
+    """Read a container; a short, cut or malformed file raises ValueError.
+    Each tensor is a C-contiguous, writable float64 array owning its memory."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    size = len(blob)
     if blob[:4] != MAGIC:
         raise ValueError(f"load_tensors: bad magic in {path}")
-    off = 4
 
-    def take(size: int) -> memoryview:
-        nonlocal off
-        if off + size > len(blob):
-            raise ValueError(f"load_tensors: {path} is truncated "
-                             f"({len(blob)} bytes, needs at least {off + size})")
-        off += size
-        return blob[off - size:off]
+    def truncated(needs: int) -> ValueError:
+        return ValueError(f"load_tensors: {path} is truncated "
+                          f"({size} bytes, needs at least {needs})")
 
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    (version,) = unpack("<I")
+    # every field is checked against the blob's end before it is read
+    if size < 8:
+        raise truncated(8)
+    (version,) = _U32.unpack_from(blob, 4)
     if version != VERSION:
         raise ValueError(f"load_tensors: unsupported version {version}")
-    (n_meta,) = unpack("<I")
+    if size < 12:
+        raise truncated(12)
+    (n_meta,) = _U32.unpack_from(blob, 8)
+    off = 12
     meta: dict[str, int] = {}
     for _ in range(n_meta):
-        (klen,) = unpack("<H")
-        key = bytes(take(klen)).decode()
-        (meta[key],) = unpack("<q")
-    (n_tens,) = unpack("<I")
+        if off + 2 > size:
+            raise truncated(off + 2)
+        (klen,) = _U16.unpack_from(blob, off)
+        off += 2
+        if off + klen > size:
+            raise truncated(off + klen)
+        key = blob[off:off + klen].decode()
+        off += klen
+        if off + 8 > size:
+            raise truncated(off + 8)
+        (meta[key],) = _I64.unpack_from(blob, off)
+        off += 8
+    if off + 4 > size:
+        raise truncated(off + 4)
+    (n_tens,) = _U32.unpack_from(blob, off)
+    off += 4
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tens):
-        (nlen,) = unpack("<H")
-        name = bytes(take(nlen)).decode()
-        (ndim,) = unpack("<B")
-        dims = unpack(f"<{ndim}I")
-        payload = take(8 * math.prod(dims))
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-    if off != len(blob):
+        if off + 2 > size:
+            raise truncated(off + 2)
+        (nlen,) = _U16.unpack_from(blob, off)
+        off += 2
+        if off + nlen > size:
+            raise truncated(off + nlen)
+        name = blob[off:off + nlen].decode()
+        off += nlen
+        if off + 1 > size:
+            raise truncated(off + 1)
+        ndim = blob[off]
+        off += 1
+        if off + 4 * ndim > size:
+            raise truncated(off + 4 * ndim)
+        dims = struct.unpack_from(f"<{ndim}I", blob, off)
+        off += 4 * ndim
+        count = math.prod(dims)
+        if off + 8 * count > size:
+            raise truncated(off + 8 * count)
+        tensors[name] = np.frombuffer(blob, "<f8", count, off).reshape(dims).copy()
+        off += 8 * count
+    if off != size:
         raise ValueError("load_tensors: trailing bytes in container")
     return tensors, meta

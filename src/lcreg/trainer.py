@@ -440,7 +440,8 @@ def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,
 
     Returns the grid file: {"config": grid_config_dict(...), "seeds": [...],
     "rows": {name: {"seeds": {seed: metrics-or-error}}},
-    "summary": {name: mean metrics over clean runs}}.
+    "summary": {name: mean metrics over clean runs}}. A row that overrides
+    TaskSpec fields also stores them, as "task": {field: value}.
     """
     seeds = [int(s) for s in seeds]
     if len(set(seeds)) != len(seeds):
@@ -449,8 +450,9 @@ def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,
                  "seeds": seeds, "rows": {}, "summary": {}}
     data_cache = {}
     for name, overrides in rows.items():
-        row_task = replace(task, **{k: v for k, v in overrides.items() if k in TASK_FIELDS})
+        task_overrides = {k: v for k, v in overrides.items() if k in TASK_FIELDS}
         train_overrides = {k: v for k, v in overrides.items() if k not in TASK_FIELDS}
+        row_task = replace(task, **task_overrides)
         per_seed = {}
         for s in seeds:
             if (row_task, s) not in data_cache:
@@ -462,6 +464,9 @@ def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,
             else:
                 per_seed[s] = result.report.to_dict()
         out["rows"][name] = {"seeds": per_seed}
+        if task_overrides:
+            # format_grid compares a row with baseline only on the same task
+            out["rows"][name]["task"] = task_overrides
         clean = [m for m in per_seed.values() if "error" not in m]
         if clean:
             out["summary"][name] = {

@@ -574,6 +574,26 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "missing tensor stats.count" in err[0]
 
+    @pytest.mark.parametrize("name", ["pool.features", "stats.cov"])
+    def test_non_finite_checkpoint_fails_cleanly(self, tmp_path, config_file, capsys, name):
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out)]) == 0
+        tensors, meta = tensorio.load_tensors(out / "model.lct")
+        tensors[name].reshape(-1)[0] = np.nan
+        bad = tmp_path / "bad.lct"
+        tensorio.save_tensors(bad, tensors, meta)
+        capsys.readouterr()
+        assert main(["eval", "--config", config_file, "--model", str(bad)]) == 1
+        assert main(["report", "--config", config_file, "--model", str(bad),
+                     "--histogram-csv", str(tmp_path / "u.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 2 and all(line.startswith("cannot load checkpoint") and
+                                     f"non-finite value in tensor {name}" in line
+                                     for line in err)
+        assert not (tmp_path / "u.csv").exists()
+
     def test_checkpoint_without_iteration_fails_cleanly(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
         assert main(["train", "--config", config_file, "--out", str(out)]) == 0
@@ -723,6 +743,32 @@ class TestReport:
         rows = {line.split()[0]: line.split()
                 for line in cli.format_grid(grid).splitlines()[2:]}
         assert rows["full"][-4:] == ["+0.0000", "—", "—", "—"]
+
+    def test_grid_compares_rows_with_baseline_of_their_task(self, tmp_path, config_file,
+                                                            capsys):
+        out = tmp_path / "grid"
+        assert main(["train", "--config", config_file, "--out", str(out), "--ablate",
+                     "--seeds", "0,1", "--row", "baseline", "train.variant=baseline",
+                     "--row", "baseline_if5", "train.variant=baseline", "task.imbalance=5",
+                     "--row", "full_if5", "train.variant=full", "task.imbalance=5",
+                     "--set", "train.t1_iters=10", "--set", "train.t2_iters=2"]) == 0
+        grid = json.loads((out / "ablation.json").read_text())
+        # only rows that set a task field store it
+        assert "task" not in grid["rows"]["baseline"]
+        assert grid["rows"]["full_if5"]["task"] == {"imbalance": 5.0}
+        capsys.readouterr()
+        assert main(["report", "--results", str(out / "ablation.json")]) == 0
+        rows = {line.split()[0]: line.split()
+                for line in capsys.readouterr().out.splitlines()[2:]}
+        assert rows["baseline"][-4:] == ["+0.0000", "+0.0000", "0/2", "0.0000"]
+        # an IF 5 row has other few classes than the IF 20 baseline
+        for name in ("baseline_if5", "full_if5"):
+            assert rows[name][-4:] == ["—"] * 4
+        # a row that restates the grid's own task is still compared
+        grid["rows"]["latent"] = dict(grid["rows"]["baseline"], task={"imbalance": 20.0})
+        rows = {line.split()[0]: line.split()
+                for line in cli.format_grid(grid).splitlines()[2:]}
+        assert rows["latent"][-4:] == ["+0.0000", "+0.0000", "0/2", "0.0000"]
 
     def test_missing_results_file(self, tmp_path):
         assert main(["report", "--results", str(tmp_path / "none.json")]) == 1

@@ -1,14 +1,18 @@
 """Model assembly: encoder paths against hand-rolled numpy oracles, loss
 breakdown accounting, gradient routing, and checkpointing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcreg import model, tensorio
 from lcreg.augment import classwise_augmented_logits, init_stats, update_stats
 from lcreg.diffcore import ForwardTape, Tape
 from lcreg.latent import reconstruction_loss
+from lcreg.trainer import SGD
 from lcreg.model import (
     CONV_KERNEL,
     CONV_STRIDE,
@@ -23,6 +27,7 @@ from lcreg.model import (
     image_encoder,
     init_model,
     load_model,
+    parameter_shapes,
     save_model,
     stack_batch_columns,
     total_loss,
@@ -38,6 +43,10 @@ def small_vector_config(latent_on=True):
 def small_image_config(latent_on=True):
     enc = image_encoder(channels=1, height=7, width=7, hidden=(3,), feature_dim=4)
     return ModelConfig(enc, num_classes=3, num_latents=3, latent_on=latent_on)
+
+
+ALL_CONFIGS = [small_vector_config(True), small_vector_config(False),
+               small_image_config(True), small_image_config(False)]
 
 
 def stats_for(params, rng):
@@ -461,3 +470,101 @@ class TestCheckpoint:
         save_model(path, params, None, iteration=0)
         with pytest.raises(ValueError):
             load_model(path, small_vector_config(latent_on=False))
+
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS)
+    def test_load_follows_the_parameter_table(self, tmp_path, cfg):
+        params = init_model(cfg, seed=3)
+        table = [(pid, shape) for pid, shape in parameter_shapes(cfg).items()]
+        assert [(p.id, p.value.shape) for p in params.parameters()] == table
+        path = tmp_path / "model.lct"
+        save_model(path, params, None, iteration=1)
+        loaded, _, _ = load_model(path, cfg)
+        assert [(p.id, p.value.shape) for p in loaded.parameters()] == table
+        assert (loaded.pool is None) == (not cfg.latent_on)
+        assert [p.id for p in loaded.decay_parameters()] == [
+            p.id for p in params.decay_parameters()]
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (ALL_CONFIGS[0], "bf8d287780692c72"), (ALL_CONFIGS[1], "edc3070c4ac1d87e"),
+        (ALL_CONFIGS[2], "8cd837a8bc14128e"), (ALL_CONFIGS[3], "008f4b676a7a5138"),
+    ])
+    def test_init_draws_are_pinned(self, cfg, digest):
+        # every training record starts from these values
+        h = hashlib.sha256()
+        for p in init_model(cfg, seed=5).parameters():
+            h.update(p.id.encode())
+            h.update(p.value.data.tobytes())
+        assert h.hexdigest()[:16] == digest
+
+    def test_load_makes_no_draw(self, tmp_path, monkeypatch):
+        params = init_model(small_image_config(), seed=41)
+        path = tmp_path / "model.lct"
+        save_model(path, params, stats_for(params, np.random.default_rng(0)), iteration=2)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(model, "init_model", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded, _, _ = load_model(path, params.config)
+        for a, b in zip(params.parameters(), loaded.parameters()):
+            assert np.array_equal(a.value.data, b.value.data)
+
+    def test_loaded_arrays_own_writable_memory(self, tmp_path):
+        params = init_model(small_vector_config(), seed=41)
+        path = tmp_path / "model.lct"
+        save_model(path, params, stats_for(params, np.random.default_rng(0)), iteration=2)
+        loaded, stats, _ = load_model(path, params.config)
+        arrays = [a for p in loaded.parameters() for a in (p.value.data, p.grad.data)]
+        for arr in arrays + [stats.count, stats.mean, stats.cov]:
+            assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
+        assert len({id(a) for a in arrays}) == len(arrays)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+
+    @pytest.mark.parametrize("cfg", [ALL_CONFIGS[0], ALL_CONFIGS[3]])
+    def test_sgd_over_loaded_params_matches_original(self, tmp_path, cfg):
+        params = init_model(cfg, seed=41)
+        stats = stats_for(params, np.random.default_rng(1))
+        path = tmp_path / "model.lct"
+        save_model(path, params, stats, iteration=0)
+        loaded, lstats, _ = load_model(path, cfg)
+        rng = np.random.default_rng(2)
+        shape = (6, *cfg.encoder.input_shape)
+        batches = [(rng.standard_normal(shape), rng.integers(0, 3, 6)) for _ in range(5)]
+        trajectories = []
+        for p, st_ in ((params, stats), (loaded, lstats)):
+            opt = SGD(p.parameters(), lr=0.1, momentum=0.9, weight_decay=1e-3,
+                      decay_params=p.decay_parameters())
+            for x, y in batches:
+                tape = Tape()
+                _, loss, _ = total_loss(tape, p, x, y, st_, lam=0.5)
+                opt.zero_grad()
+                tape.backward(loss)
+                opt.step()
+            trajectories.append(opt.value.copy())
+        assert trajectories[0].tobytes() == trajectories[1].tobytes()
+
+    @pytest.mark.parametrize("name", ["pool.features", "dec.b", "latcls.w", "stats.cov"])
+    def test_non_finite_value_rejected(self, tmp_path, name):
+        params = init_model(small_vector_config(), seed=41)
+        path = tmp_path / "model.lct"
+        save_model(path, params, stats_for(params, np.random.default_rng(0)), iteration=2)
+        tensors, meta = tensorio.load_tensors(path)
+        for value in (np.nan, np.inf, -np.inf):
+            tensors[name].reshape(-1)[-1] = value
+            tensorio.save_tensors(path, tensors, meta)
+            with pytest.raises(ValueError, match=f"non-finite value in tensor {name}"):
+                load_model(path, params.config)
+
+    def test_missing_and_misshapen_tensors_named(self, tmp_path):
+        params = init_model(small_vector_config(), seed=41)
+        path = tmp_path / "model.lct"
+        save_model(path, params, None, iteration=2)
+        tensors, meta = tensorio.load_tensors(path)
+        tensorio.save_tensors(path, {k: v for k, v in tensors.items() if k != "dec.w"}, meta)
+        with pytest.raises(ValueError, match="checkpoint missing tensor dec.w"):
+            load_model(path, params.config)
+        tensorio.save_tensors(path, dict(tensors, **{"pool.enc_b": np.zeros(5)}), meta)
+        with pytest.raises(ValueError, match="shape mismatch for pool.enc_b"):
+            load_model(path, params.config)
