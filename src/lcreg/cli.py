@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -25,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugSchedule, init_stats, update_stats
-from .data import (build_profile, dataset_cache_dir, load_dataset, make_mixture_spec,
-                   save_dataset)
+from .data import (CORPUS_FILE, build_profile, dataset_cache_dir, load_dataset,
+                   make_mixture_spec, save_dataset)
 from .diffcore import ForwardTape, standard_kernel_checks
 from .model import (
     ModelConfig,
@@ -81,7 +82,8 @@ def parse_seeds(raw: str) -> list[int]:
 
 
 def _coerce(key: str, raw: str, default):
-    """Parse ``raw`` to the type of the field's default value."""
+    """Parse ``raw`` to the type of the field's default value; a float must
+    be finite."""
     raw = raw.strip()
     if isinstance(default, int):
         try:
@@ -90,17 +92,23 @@ def _coerce(key: str, raw: str, default):
             raise ConfigError(f"{key}: expected an integer, got {raw!r}")
     if isinstance(default, float):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+        return value
     if isinstance(default, tuple):
         if raw == "":
             return ()
         elem = float if (default and isinstance(default[0], float)) else int
         try:
-            return tuple(elem(part) for part in raw.split(","))
+            values = tuple(elem(part) for part in raw.split(","))
         except ValueError:
             raise ConfigError(f"{key}: expected comma-separated values, got {raw!r}")
+        if elem is float and not all(map(math.isfinite, values)):
+            raise ConfigError(f"{key}: expected finite numbers, got {raw!r}")
+        return values
     return raw
 
 
@@ -205,17 +213,24 @@ def cmd_build_dataset(args) -> int:
 
 
 def _load_cached_data(task: TaskSpec, seed: int):
+    """The cached (train, test) splits of ``task``, or None after one stderr line."""
     root = dataset_cache_dir(_dataset_params(task, seed))
-    marker = root / "train" / "meta.json"
+    marker = root / "train" / CORPUS_FILE
     if not marker.exists():
         print(f"dataset cache miss: expected {marker}\n"
               f"run `lcreg build-dataset` with the same config first", file=sys.stderr)
         return None
     try:
-        return load_dataset(root / "train"), load_dataset(root / "test")
-    except (OSError, ValueError, KeyError, TypeError) as e:
+        splits = load_dataset(root / "train"), load_dataset(root / "test")
+        for name, split in zip(("train", "test"), splits):
+            if (split.num_classes, split.sample_shape) != (task.num_classes, (task.input_dim,)):
+                raise ValueError(f"{name} split has {split.num_classes} classes of shape "
+                                 f"{split.sample_shape}, not {task.num_classes} of "
+                                 f"{(task.input_dim,)}")
+    except (OSError, ValueError) as e:
         print(f"cannot load dataset cache {root}: {e}", file=sys.stderr)
         return None
+    return splits
 
 
 def _read_run_record(path: Path) -> dict:

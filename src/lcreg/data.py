@@ -3,19 +3,14 @@
 A profile is the per-class sample count vector. A dataset is samples plus
 labels grouped by class, synthesized from a Gaussian mixture. Class splits
 (many/medium/few) are decided by the training counts. Samplers are infinite,
-seeded index streams. Samples are float32 values held as float64, so the
-float32 corpus files store them losslessly.
-
-On-disk corpus layout (one directory per dataset):
-    meta.json    {"format": "lcreg-corpus-v1", "num_classes": C,
-                  "sample_shape": [...], "count": N}
-    samples.bin  little-endian float32, row-major, N x prod(sample_shape)
-    labels.bin   little-endian uint32, N entries
+seeded index streams. Samples are float32 values held as float64, so a saved
+split loses nothing: it is a directory holding one tensor container,
+``corpus.lct``, with float32 ``samples`` [N, *sample_shape], uint32 ``labels``
+[N] and the integer meta ``corpus_version``, ``num_classes`` and ``seed``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -23,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensorio import atomic_write, content_hash
+from .tensorio import content_hash, load_tensors, save_tensors
 
-CORPUS_FORMAT = "lcreg-corpus-v1"
+CORPUS_FILE = "corpus.lct"
+CORPUS_VERSION = 1
 CACHE_ENV_VAR = "LCREG_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".lcreg_cache"
 
@@ -196,40 +192,34 @@ def batch_stream(dataset: LongTailDataset, mode: str, batch_size: int, seed: int
 
 
 def save_dataset(dataset: LongTailDataset, dirpath) -> Path:
-    dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "format": CORPUS_FORMAT,
-        "num_classes": int(dataset.num_classes),
-        "sample_shape": [int(s) for s in dataset.sample_shape],
-        "count": int(len(dataset.labels)),
-        "seed": int(dataset.seed),
-    }
-    flat = dataset.samples.reshape(len(dataset.labels), int(np.prod(dataset.sample_shape)))
-    # meta.json marks a complete corpus (the cache checks for it), so it goes last
-    for name, payload in (("samples.bin", flat.astype("<f4").tobytes()),
-                          ("labels.bin", dataset.labels.astype("<u4").tobytes()),
-                          ("meta.json", json.dumps(meta, sort_keys=True, indent=1).encode())):
-        with atomic_write(dirpath / name) as fh:
-            fh.write(payload)
-    return dirpath
+    """Write ``dirpath/corpus.lct`` in one atomic write; returns ``dirpath``."""
+    return save_tensors(Path(dirpath) / CORPUS_FILE,
+                        {"samples": dataset.samples.astype(np.float32),
+                         "labels": dataset.labels.astype(np.uint32)},
+                        {"corpus_version": CORPUS_VERSION, "num_classes": dataset.num_classes,
+                         "seed": dataset.seed}).parent
 
 
 def load_dataset(dirpath) -> LongTailDataset:
-    dirpath = Path(dirpath)
-    meta = json.loads((dirpath / "meta.json").read_text())
-    if meta.get("format") != CORPUS_FORMAT:
-        raise ValueError(f"load_dataset: unsupported format {meta.get('format')!r}")
-    shape = tuple(meta["sample_shape"])
-    count = int(meta["count"])
-    flat = np.frombuffer((dirpath / "samples.bin").read_bytes(), dtype="<f4")
-    labels = np.frombuffer((dirpath / "labels.bin").read_bytes(), dtype="<u4")
-    if flat.size != count * int(np.prod(shape)) or labels.size != count:
-        raise ValueError("load_dataset: payload size does not match meta.json")
-    samples = flat.astype(np.float64).reshape((count,) + shape)
+    """The split saved in ``dirpath``; ValueError for any other container and
+    for a label outside the stored class count."""
+    tensors, meta = load_tensors(Path(dirpath) / CORPUS_FILE)
+    if (meta.get("corpus_version") != CORPUS_VERSION or tensors.keys() != {"samples", "labels"}
+            or meta.keys() != {"corpus_version", "num_classes", "seed"}):
+        raise ValueError(f"load_dataset: not a version {CORPUS_VERSION} corpus: meta {meta}, "
+                         f"tensors {sorted(tensors)}")
+    samples, labels, num_classes = tensors["samples"], tensors["labels"], meta["num_classes"]
+    if (samples.dtype != np.float32 or labels.dtype != np.uint32 or samples.ndim == 0
+            or samples.shape[:1] != labels.shape):
+        raise ValueError(f"load_dataset: want float32 samples [N, ...] and uint32 labels [N], "
+                         f"got {samples.dtype} {samples.shape} and {labels.dtype} {labels.shape}")
+    if labels.size and labels.max() >= num_classes:
+        raise ValueError(f"load_dataset: label {labels.max()} is out of range "
+                         f"for {num_classes} classes")
     labels = labels.astype(np.int64)
-    counts = np.bincount(labels, minlength=meta["num_classes"]).astype(np.int64)
-    return LongTailDataset(samples, labels, counts, int(meta.get("seed", 0)))
+    # LongTailDataset holds the float32 samples as float64
+    return LongTailDataset(samples, labels, np.bincount(labels, minlength=num_classes),
+                           meta["seed"])
 
 
 def cache_root() -> Path:

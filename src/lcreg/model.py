@@ -447,7 +447,7 @@ def save_model(path, params: ModelParams, stats: CategoryStats | None, iteration
 
 def load_model(path, cfg: ModelConfig):
     """Rebuild (params, stats, iteration) from a checkpoint for ``cfg``. Every
-    parameter and, when stored, every stats tensor must be finite."""
+    parameter and, when stored, every stats tensor must be finite float64."""
     tensors, meta = tensorio.load_tensors(path)
     if meta.get("checkpoint_version") != CHECKPOINT_META_VERSION:
         raise ValueError("load_model: unsupported checkpoint version")
@@ -460,6 +460,8 @@ def load_model(path, cfg: ModelConfig):
     for name, shape in expected.items():
         if name not in tensors:
             raise ValueError(f"load_model: checkpoint missing tensor {name}")
+        if tensors[name].dtype != np.float64:
+            raise ValueError(f"load_model: tensor {name} is {tensors[name].dtype}, not float64")
         if shape is not None and tensors[name].shape != shape:
             raise ValueError(f"load_model: shape mismatch for {name}")
     # one pass over all values; the per-tensor search runs only on failure

@@ -1,6 +1,7 @@
-"""Binary container for named float64 tensors, used by every checkpoint,
-plus the atomic file write and the two JSON forms every artifact uses: the
-indented file body and the compact canonical bytes that hashes are taken over.
+"""Binary container for named tensors, used by every checkpoint and every
+dataset split, plus the atomic file write and the two JSON forms every
+artifact uses: the indented file body and the compact canonical bytes that
+hashes are taken over.
 
 Layout (all integers little-endian):
     magic   4 bytes  b"LCT1"
@@ -8,13 +9,15 @@ Layout (all integers little-endian):
     n_meta  u32      then per entry: u16 key length, key utf-8, i64 value
     n_tens  u32      then per tensor:
         u16 name length, name utf-8,
-        u8 ndim, ndim x u32 dims,
-        float64 little-endian row-major payload
+        u8 dtype code << 6 | ndim (codes 0 float64, 1 float32, 2 uint32; ndim <= 63),
+        ndim x u32 dims,
+        little-endian row-major payload of that dtype
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -68,9 +71,15 @@ def content_hash(payload) -> str:
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
+DTYPES = (np.dtype("<f8"), np.dtype("<f4"), np.dtype("<u4"))  # index = dtype code
+_CODES = {np.float32: 1, np.uint32: 2}  # any other scalar type is stored as code 0
+MAX_NDIM = 63
+READ_BUFFER = 1 << 18
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, int] | None = None) -> Path:
+    """Write a container atomically. float32 and uint32 arrays keep their
+    dtype; any other array is stored as float64."""
     path = Path(path)
     meta = meta or {}
     parts = [MAGIC, _U32.pack(VERSION), _U32.pack(len(meta))]
@@ -79,10 +88,15 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, int] | No
         parts += (_U16.pack(len(kb)), kb, _I64.pack(int(meta[key])))
     parts.append(_U32.pack(len(tensors)))
     for name in sorted(tensors):
+        arr = np.asarray(tensors[name])
+        code = _CODES.get(arr.dtype.type, 0)
         # joined as a buffer: the payload is copied once, into the file body
-        arr = np.asarray(tensors[name], dtype="<f8", order="C")
+        arr = np.asarray(arr, dtype=DTYPES[code], order="C")
+        if arr.ndim > MAX_NDIM:
+            raise ValueError(f"save_tensors: {name!r} has {arr.ndim} dims, "
+                             f"more than {MAX_NDIM}")
         nb = name.encode()
-        parts += (_U16.pack(len(nb)), nb, bytes((arr.ndim,)),
+        parts += (_U16.pack(len(nb)), nb, bytes((code << 6 | arr.ndim,)),
                   struct.pack(f"<{arr.ndim}I", *arr.shape), arr)
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as fh:
@@ -92,68 +106,45 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, int] | No
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, int]]:
     """Read a container; a short, cut or malformed file raises ValueError.
-    Each tensor is a C-contiguous, writable float64 array owning its memory."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    size = len(blob)
-    if blob[:4] != MAGIC:
-        raise ValueError(f"load_tensors: bad magic in {path}")
+    Each tensor is a C-contiguous, writable array of its stored dtype that
+    owns its memory, read straight from the file into place."""
+    with open(path, "rb", buffering=0) as raw:
+        size = os.fstat(raw.fileno()).st_size
+        # one read buffers a whole checkpoint; a payload past the buffer
+        # goes straight from the file into its array
+        fh = io.BufferedReader(raw, min(size, READ_BUFFER) or 1)
+        if fh.read(4) != MAGIC:
+            raise ValueError(f"load_tensors: bad magic in {path}")
+        off = 4
 
-    def truncated(needs: int) -> ValueError:
-        return ValueError(f"load_tensors: {path} is truncated "
-                          f"({size} bytes, needs at least {needs})")
+        def need(n: int) -> int:
+            """``n``, once the next ``n`` bytes are known to lie inside the file."""
+            nonlocal off
+            if off + n > size:
+                raise ValueError(f"load_tensors: {path} is truncated "
+                                 f"({size} bytes, needs at least {off + n})")
+            off += n
+            return n
 
-    # every field is checked against the blob's end before it is read
-    if size < 8:
-        raise truncated(8)
-    (version,) = _U32.unpack_from(blob, 4)
-    if version != VERSION:
-        raise ValueError(f"load_tensors: unsupported version {version}")
-    if size < 12:
-        raise truncated(12)
-    (n_meta,) = _U32.unpack_from(blob, 8)
-    off = 12
-    meta: dict[str, int] = {}
-    for _ in range(n_meta):
-        if off + 2 > size:
-            raise truncated(off + 2)
-        (klen,) = _U16.unpack_from(blob, off)
-        off += 2
-        if off + klen > size:
-            raise truncated(off + klen)
-        key = blob[off:off + klen].decode()
-        off += klen
-        if off + 8 > size:
-            raise truncated(off + 8)
-        (meta[key],) = _I64.unpack_from(blob, off)
-        off += 8
-    if off + 4 > size:
-        raise truncated(off + 4)
-    (n_tens,) = _U32.unpack_from(blob, off)
-    off += 4
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tens):
-        if off + 2 > size:
-            raise truncated(off + 2)
-        (nlen,) = _U16.unpack_from(blob, off)
-        off += 2
-        if off + nlen > size:
-            raise truncated(off + nlen)
-        name = blob[off:off + nlen].decode()
-        off += nlen
-        if off + 1 > size:
-            raise truncated(off + 1)
-        ndim = blob[off]
-        off += 1
-        if off + 4 * ndim > size:
-            raise truncated(off + 4 * ndim)
-        dims = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        count = math.prod(dims)
-        if off + 8 * count > size:
-            raise truncated(off + 8 * count)
-        tensors[name] = np.frombuffer(blob, "<f8", count, off).reshape(dims).copy()
-        off += 8 * count
-    if off != size:
-        raise ValueError("load_tensors: trailing bytes in container")
+        (version,) = _U32.unpack(fh.read(need(4)))
+        if version != VERSION:
+            raise ValueError(f"load_tensors: unsupported version {version}")
+        meta: dict[str, int] = {}
+        for _ in range(_U32.unpack(fh.read(need(4)))[0]):
+            key = fh.read(need(_U16.unpack(fh.read(need(2)))[0])).decode()
+            (meta[key],) = _I64.unpack(fh.read(need(8)))
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(_U32.unpack(fh.read(need(4)))[0]):
+            name = fh.read(need(_U16.unpack(fh.read(need(2)))[0])).decode()
+            code, ndim = divmod(fh.read(need(1))[0], MAX_NDIM + 1)
+            if code == len(DTYPES):
+                raise ValueError(f"load_tensors: tensor {name!r} has unknown dtype code {code}")
+            dims = struct.unpack(f"<{ndim}I", fh.read(need(4 * ndim)))
+            # sized against the file before anything is allocated
+            need(DTYPES[code].itemsize * math.prod(dims))
+            tensors[name] = arr = np.empty(dims, DTYPES[code])
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError(f"load_tensors: {path} changed while it was read")
+        if off != size:
+            raise ValueError("load_tensors: trailing bytes in container")
     return tensors, meta

@@ -135,14 +135,33 @@ class TestMainExitCodes:
         assert len(err) == 1 and err[0].startswith("config error:"), err
         assert not (out / "results.json").exists()
 
+    @pytest.mark.parametrize("command, settings", [
+        ("train", ["train.variant=latent", "train.beta=nan"]),
+        ("build-dataset", ["task.stdev=nan"]),
+        ("train", ["train.lr_decay_points=0.6,nan"]),
+        ("train", ["train.lambda0=inf"]),
+        ("train", ["train.lr=-inf"]),
+        ("build-dataset", ["task.imbalance=NaN"]),
+    ])
+    def test_non_finite_float_maps_to_2(self, tmp_path, config_file, capsys,
+                                        command, settings):
+        out = tmp_path / "out"
+        code = main([command, "--config", config_file, "--out", str(out),
+                     *(arg for kv in settings for arg in ("--set", kv))])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("config error:") and "finite" in err[0], err
+        assert captured.out == "" and not out.exists()
+
 
 class TestBuildDataset:
     def test_explicit_out_dir(self, tmp_path, config_file, capsys):
         out = tmp_path / "ds"
         assert main(["build-dataset", "--config", config_file,
                      "--out", str(out)]) == 0
-        assert (out / "train" / "meta.json").exists()
-        assert (out / "test" / "samples.bin").exists()
+        for split in ("train", "test"):
+            assert [p.name for p in (out / split).iterdir()] == ["corpus.lct"]
         task_meta = json.loads((out / "task.json").read_text())
         assert task_meta["task"]["num_classes"] == 6
         assert str(out) in capsys.readouterr().out
@@ -159,6 +178,40 @@ class TestBuildDataset:
         printed = capsys.readouterr().out.strip()
         assert printed.startswith(str(tmp_path / "cache"))
         assert (tmp_path / "cache").exists()
+
+
+# Each names one way a cached split can be broken or belong to another task.
+CACHE_DAMAGES = ["missing_test_meta", "truncated_train_meta", "scalar_sample_shape",
+                 "missing_test_corpus", "truncated_train_corpus", "wrong_sample_shape",
+                 "train_label_out_of_range", "test_label_out_of_range", "test_class_count"]
+
+
+def _damage_cache(root: Path, damage: str):
+    """Break the cache at ``root`` (TINY_SETTINGS: 6 classes, input_dim 5)."""
+    split = "test" if "test" in damage else "train"
+    path = root / split / "corpus.lct"
+    if damage == "missing_test_corpus":
+        path.unlink()
+        return
+    if damage.startswith("truncated"):
+        # inside the first meta entry, or inside the samples payload
+        blob = path.read_bytes()
+        path.write_bytes(blob[:20] if damage.endswith("meta") else blob[:len(blob) // 2])
+        return
+    tensors, meta = tensorio.load_tensors(path)
+    samples, labels = tensors["samples"], tensors["labels"].copy()
+    if damage == "missing_test_meta":
+        meta = {}
+    elif damage == "scalar_sample_shape":
+        tensors["samples"] = samples[:, 0]
+    elif damage == "wrong_sample_shape":
+        tensors["samples"] = samples[..., None]
+    else:
+        labels[-1] = 12
+        tensors["labels"] = labels
+        if damage == "test_class_count":
+            meta["num_classes"] = 13
+    tensorio.save_tensors(path, tensors, meta)
 
 
 class TestTrain:
@@ -275,20 +328,13 @@ class TestTrain:
         b = json.loads((out_b / "results.json").read_text())
         assert canonical_record_bytes(a) == canonical_record_bytes(b)
 
-    @pytest.mark.parametrize("damage", ["missing_test_meta", "truncated_train_meta",
-                                        "scalar_sample_shape"])
+    @pytest.mark.parametrize("damage", CACHE_DAMAGES)
     def test_from_cache_partial_cache_fails_cleanly(self, tmp_path, config_file,
                                                     monkeypatch, capsys, damage):
         monkeypatch.setenv("LCREG_CACHE_DIR", str(tmp_path / "cache"))
         assert main(["build-dataset", "--config", config_file]) == 0
         root = Path(capsys.readouterr().out.strip())
-        if damage == "missing_test_meta":
-            (root / "test" / "meta.json").unlink()
-        elif damage == "truncated_train_meta":
-            (root / "train" / "meta.json").write_text('{"format": ')
-        else:
-            meta = json.loads((root / "train" / "meta.json").read_text())
-            (root / "train" / "meta.json").write_text(json.dumps({**meta, "sample_shape": 5}))
+        _damage_cache(root, damage)
         out = tmp_path / "r"
         code = main(["train", "--config", config_file, "--out", str(out), "--from-cache"])
         assert code == 1
@@ -523,19 +569,12 @@ class TestEval:
         assert printed["overall"] == 0.0 and set(printed["per_class"]) == {0.0}
         assert printed["group_counts"] == {"many": 0, "medium": 0, "few": 0}
 
-    @pytest.mark.parametrize("damage", ["missing_test_meta", "truncated_train_meta",
-                                        "scalar_sample_shape"])
+    @pytest.mark.parametrize("damage", CACHE_DAMAGES)
     def test_from_cache_partial_cache_fails_cleanly(self, config_file, checkpoint,
                                                     capsys, damage):
         assert main(["build-dataset", "--config", config_file]) == 0
         root = Path(capsys.readouterr().out.strip())
-        if damage == "missing_test_meta":
-            (root / "test" / "meta.json").unlink()
-        elif damage == "truncated_train_meta":
-            (root / "train" / "meta.json").write_text('{"format": ')
-        else:
-            meta = json.loads((root / "train" / "meta.json").read_text())
-            (root / "train" / "meta.json").write_text(json.dumps({**meta, "sample_shape": 5}))
+        _damage_cache(root, damage)
         code = main(["eval", "--config", config_file, "--model", checkpoint,
                      "--from-cache"])
         assert code == 1
@@ -901,7 +940,7 @@ class TestAtomicWrites:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.lct"]
 
-    @pytest.mark.parametrize("name", ["samples.bin", "labels.bin", "meta.json", "task.json"])
+    @pytest.mark.parametrize("name", ["corpus.lct", "task.json"])
     def test_failed_build_dataset_keeps_previous_file(self, tmp_path, config_file,
                                                       monkeypatch, name, capsys):
         out = tmp_path / "ds"

@@ -1,11 +1,11 @@
-"""Profiles, mixtures, samplers, splits, and the corpus file format."""
+"""Profiles, mixtures, samplers, splits, and the saved corpus."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcreg import data
+from lcreg import data, tensorio
 from lcreg.data import (
     ClassSplit,
     LongTailDataset,
@@ -162,20 +162,47 @@ def test_instance_balanced_stream_frequencies():
 
 def test_corpus_roundtrip(tmp_path):
     ds = _tiny_dataset()
-    save_dataset(ds, tmp_path / "d")
+    assert save_dataset(ds, tmp_path / "d") == tmp_path / "d"
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["corpus.lct"]
     back = load_dataset(tmp_path / "d")
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.counts, ds.counts)
-    # synthesis rounds to float32, so the float32 files lose nothing
+    assert back.seed == ds.seed
+    # synthesis rounds to float32, so the float32 corpus loses nothing
     assert np.array_equal(back.samples, ds.samples)
     assert back.samples.dtype == np.float64
+    tensors, meta = tensorio.load_tensors(tmp_path / "d" / "corpus.lct")
+    assert tensors["samples"].dtype == np.float32 and tensors["labels"].dtype == np.uint32
+    assert meta == {"corpus_version": 1, "num_classes": 3, "seed": ds.seed}
 
 
 def test_corpus_rejects_corrupt_payload(tmp_path):
     ds = _tiny_dataset()
-    save_dataset(ds, tmp_path / "d")
-    (tmp_path / "d" / "labels.bin").write_bytes(b"\x00" * 4)
-    with pytest.raises(ValueError):
+    path = save_dataset(ds, tmp_path / "d") / "corpus.lct"
+    blob = path.read_bytes()
+    tensors, meta = tensorio.load_tensors(path)
+    labels, samples = tensors["labels"], tensors["samples"]
+    bad_label = labels.copy()
+    bad_label[-1] = 3
+    dtypes = "want float32 samples"
+    damaged = [  # (what load_dataset must say, tensors, meta)
+        (dtypes, dict(tensors, labels=labels[:1]), meta),
+        ("label 3 is out of range for 3 classes", dict(tensors, labels=bad_label), meta),
+        (dtypes, dict(tensors, samples=samples.astype(np.float64)), meta),
+        (dtypes, dict(tensors, labels=labels.astype(np.int64)), meta),
+        (dtypes, dict(tensors, samples=samples[0, 0]), meta),
+        ("not a version 1 corpus", {"samples": samples}, meta),
+        ("not a version 1 corpus", tensors,
+         {k: v for k, v in meta.items() if k != "num_classes"}),
+        ("not a version 1 corpus", tensors, dict(meta, corpus_version=2)),
+        ("not a version 1 corpus", dict(tensors, extra=samples), meta),
+    ]
+    for message, t, m in damaged:
+        tensorio.save_tensors(path, t, m)
+        with pytest.raises(ValueError, match=message):
+            load_dataset(tmp_path / "d")
+    path.write_bytes(blob[:-1])
+    with pytest.raises(ValueError, match="truncated"):
         load_dataset(tmp_path / "d")
 
 
