@@ -117,7 +117,7 @@ def train_baseline(cfg, train_ds, test_ds):
         lr = stage1_lr(t)
 
         ins = []
-        h = xb.T.copy()
+        h = np.asarray(xb, dtype=np.float64).T.copy()
         for i in range(layers - 1):
             ins.append(h)
             h = np.tanh(model.enc_ws[i] @ h + model.enc_bs[i][:, None])

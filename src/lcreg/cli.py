@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugSchedule, init_stats, update_stats
-from .data import (CORPUS_FILE, build_profile, dataset_cache_dir, load_dataset,
-                   make_mixture_spec, save_dataset)
+from .data import (CORPUS_FILE, NonFiniteSampleError, build_profile, dataset_cache_dir,
+                   load_dataset, make_mixture_spec, save_dataset)
 from .diffcore import ForwardTape, standard_kernel_checks
 from .model import (
     ModelConfig,
@@ -198,13 +198,22 @@ def _dataset_params(task: TaskSpec, seed: int) -> dict:
     return {"task": asdict(task), "seed": int(seed)}
 
 
+def _synthesize(task: TaskSpec, seed: int):
+    """``make_task_data``; a sample that overflows float32 is a
+    configuration error."""
+    try:
+        return make_task_data(task, seed)
+    except NonFiniteSampleError as e:
+        raise ConfigError(f"cannot synthesize the task's splits: {e}")
+
+
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_build_dataset(args) -> int:
     task, cfg = load_settings(args.config, args.set, args.seed)
     out = Path(args.out) if args.out else dataset_cache_dir(_dataset_params(task, cfg.seed))
-    train, test = make_task_data(task, cfg.seed)
+    train, test = _synthesize(task, cfg.seed)
     save_dataset(train, out / "train")
     save_dataset(test, out / "test")
     write_json(out / "task.json", _dataset_params(task, cfg.seed))
@@ -227,6 +236,9 @@ def _load_cached_data(task: TaskSpec, seed: int):
                 raise ValueError(f"{name} split has {split.num_classes} classes of shape "
                                  f"{split.sample_shape}, not {task.num_classes} of "
                                  f"{(task.input_dim,)}")
+        empty = np.flatnonzero(splits[0].counts == 0)
+        if empty.size:
+            raise ValueError(f"train split has no sample of class {empty[0]}")
     except (OSError, ValueError) as e:
         print(f"cannot load dataset cache {root}: {e}", file=sys.stderr)
         return None
@@ -274,8 +286,6 @@ def cmd_train(args) -> int:
     if args.ablate:
         return _train_ablation(args, task, cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     results_path = out / "results.json"
     want_hash = config_hash(cfg, task)
     existing = _read_run_record(results_path)
@@ -284,11 +294,13 @@ def cmd_train(args) -> int:
         print(f"results up to date for config {want_hash}; skipping")
         return 0
 
-    datasets = None
     if args.from_cache:
         datasets = _load_cached_data(task, cfg.seed)
         if datasets is None:
             return 1
+    else:
+        datasets = _synthesize(task, cfg.seed)
+    out.mkdir(parents=True, exist_ok=True)
     result = run_training(cfg, task, datasets=datasets)
     with atomic_write(out / "history.jsonl", "w") as fh:
         fh.writelines(json.dumps(row) + "\n" for row in result.history)
@@ -311,15 +323,17 @@ def cmd_train(args) -> int:
 def _train_ablation(args, task: TaskSpec, cfg: TrainConfig) -> int:
     seeds = parse_seeds(DEFAULT_SEEDS if args.seeds is None else args.seeds)
     rows = parse_rows(args.config, args.set, args.row) if args.row else COMPONENT_ROWS
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "ablation.json"
+    path = Path(args.out) / "ablation.json"
     want = content_hash({"config": grid_config_dict(cfg, task, rows),
                          "seeds": seeds, "rows": rows})
     if _read_run_record(path).get("ablation_hash") == want:
         print(f"ablation up to date for config {want}; skipping")
         return 0
-    grid = run_ablation(cfg, task, seeds, rows)
+    try:
+        grid = run_ablation(cfg, task, seeds, rows)
+    except NonFiniteSampleError as e:
+        # raised before any cell trains: the grid makes every split first
+        raise ConfigError(f"cannot synthesize a grid task's splits: {e}")
     write_json(path, {"ablation_hash": want, **grid})
     print(json.dumps(grid["summary"], indent=2, sort_keys=True))
     return 0
@@ -335,7 +349,7 @@ def cmd_eval(args) -> int:
         if datasets is None:
             return 1
     else:
-        datasets = make_task_data(task, cfg.seed)
+        datasets = _synthesize(task, cfg.seed)
     train, test = datasets
     report = evaluate(params, test, train.counts)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -445,7 +459,7 @@ def _latent_usage_csv(args, task: TaskSpec, cfg: TrainConfig, path: Path) -> int
     if not params.config.latent_on:
         print("checkpoint has no latent branch; nothing to export", file=sys.stderr)
         return 1
-    _, test = make_task_data(task, cfg.seed)
+    _, test = _synthesize(task, cfg.seed)
     m = params.config.num_latents
     d = params.config.encoder.feature_dim
     sums = np.zeros((task.num_classes, m))

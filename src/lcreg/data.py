@@ -3,10 +3,12 @@
 A profile is the per-class sample count vector. A dataset is samples plus
 labels grouped by class, synthesized from a Gaussian mixture. Class splits
 (many/medium/few) are decided by the training counts. Samplers are infinite,
-seeded index streams. Samples are float32 values held as float64, so a saved
-split loses nothing: it is a directory holding one tensor container,
-``corpus.lct``, with float32 ``samples`` [N, *sample_shape], uint32 ``labels``
-[N] and the integer meta ``corpus_version``, ``num_classes`` and ``seed``.
+seeded index streams. Samples are finite float32 values, in memory as on
+disk, so a saved split loses nothing and is cast neither way: it is a
+directory holding one tensor container, ``corpus.lct``, with float32
+``samples`` [N, *sample_shape], uint32 ``labels`` [N] and the integer meta
+``corpus_version``, ``num_classes`` and ``seed``. Arrays become float64 only
+where the model takes a batch in.
 """
 
 from __future__ import annotations
@@ -84,16 +86,23 @@ def split_classes(counts) -> ClassSplit:
     return ClassSplit(many=many, medium=medium, few=few)
 
 
+class NonFiniteSampleError(ValueError):
+    """A split holds a sample that is not a finite float32 value; a
+    synthesized one overflowed float32."""
+
+
 @dataclass
 class LongTailDataset:
-    """Samples grouped by class with the realized per-class counts."""
-    samples: np.ndarray   # [N, ...] float64
+    """Samples grouped by class with the realized per-class counts. A
+    non-finite sample is refused: NonFiniteSampleError."""
+    samples: np.ndarray   # [N, ...] float32; a float64 input is rounded to it
     labels: np.ndarray    # [N] int64
     counts: np.ndarray    # [C] int64
     seed: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        with np.errstate(over="ignore"):  # a value past float32 becomes inf, refused below
+            self.samples = np.asarray(self.samples, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if len(self.samples) != len(self.labels):
@@ -102,6 +111,11 @@ class LongTailDataset:
             raise ValueError("dataset: counts do not sum to sample count")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= len(self.counts)):
             raise ValueError("dataset: label out of range")
+        # min and max are NaN or infinite exactly when some sample is, and
+        # take no temporary the size of the split
+        if self.samples.size and not (np.isfinite(self.samples.min())
+                                      and np.isfinite(self.samples.max())):
+            raise NonFiniteSampleError("dataset: a sample is not a finite float32 value")
 
     @property
     def num_classes(self) -> int:
@@ -145,20 +159,28 @@ def make_mixture_spec(num_classes: int, input_dim: int, seed: int,
 
 
 def synthesize_mixture(spec: MixtureSpec, counts, seed: int | None = None) -> LongTailDataset:
-    """Draw counts[c] samples from component c, grouped by class, rounded to
-    float32 precision so that a saved corpus loads back bit-identically."""
+    """Draw counts[c] samples from component c, grouped by class.
+
+    Each class block is drawn in float64 and rounded into its rows of one
+    float32 array, so the only transient is one block; a sample that
+    overflows float32 makes the dataset refuse the split
+    (NonFiniteSampleError)."""
     counts = np.asarray(counts, dtype=np.int64)
     if len(counts) != spec.num_classes:
         raise ValueError("synthesize_mixture: counts length != num_classes")
     draw_seed = spec.seed if seed is None else int(seed)
     rng = np.random.default_rng(np.random.SeedSequence([draw_seed, 23]))
-    xs, ys = [], []
-    for c, n in enumerate(counts):
-        noise = rng.standard_normal((int(n), spec.input_dim))
-        xs.append(spec.means[c] + spec.stdev * noise)
-        ys.append(np.full(int(n), c, dtype=np.int64))
-    samples = np.concatenate(xs).astype(np.float32).astype(np.float64)
-    return LongTailDataset(samples, np.concatenate(ys), counts, draw_seed)
+    samples = np.empty((int(counts.sum()), spec.input_dim), np.float32)
+    start = 0
+    with np.errstate(over="ignore"):  # an overflow is refused by LongTailDataset
+        for c, n in enumerate(counts):
+            block = rng.standard_normal((int(n), spec.input_dim))
+            block *= spec.stdev
+            block += spec.means[c]  # bit for bit means[c] + stdev * noise
+            samples[start:start + n] = block
+            start += n
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), counts)
+    return LongTailDataset(samples, labels, counts, draw_seed)
 
 
 def batch_stream(dataset: LongTailDataset, mode: str, batch_size: int, seed: int):
@@ -194,15 +216,15 @@ def batch_stream(dataset: LongTailDataset, mode: str, batch_size: int, seed: int
 def save_dataset(dataset: LongTailDataset, dirpath) -> Path:
     """Write ``dirpath/corpus.lct`` in one atomic write; returns ``dirpath``."""
     return save_tensors(Path(dirpath) / CORPUS_FILE,
-                        {"samples": dataset.samples.astype(np.float32),
+                        {"samples": dataset.samples,
                          "labels": dataset.labels.astype(np.uint32)},
                         {"corpus_version": CORPUS_VERSION, "num_classes": dataset.num_classes,
                          "seed": dataset.seed}).parent
 
 
 def load_dataset(dirpath) -> LongTailDataset:
-    """The split saved in ``dirpath``; ValueError for any other container and
-    for a label outside the stored class count."""
+    """The split saved in ``dirpath``; ValueError for any other container, for
+    a label outside the stored class count and for a non-finite sample."""
     tensors, meta = load_tensors(Path(dirpath) / CORPUS_FILE)
     if (meta.get("corpus_version") != CORPUS_VERSION or tensors.keys() != {"samples", "labels"}
             or meta.keys() != {"corpus_version", "num_classes", "seed"}):
@@ -217,7 +239,6 @@ def load_dataset(dirpath) -> LongTailDataset:
         raise ValueError(f"load_dataset: label {labels.max()} is out of range "
                          f"for {num_classes} classes")
     labels = labels.astype(np.int64)
-    # LongTailDataset holds the float32 samples as float64
     return LongTailDataset(samples, labels, np.bincount(labels, minlength=num_classes),
                            meta["seed"])
 

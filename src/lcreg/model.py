@@ -246,16 +246,17 @@ def _patch_indices(channels: int, height: int, width: int, batch: int) -> np.nda
 
 
 def stack_batch_columns(cfg: EncoderConfig, x_batch: np.ndarray) -> np.ndarray:
-    """Batch array to stacked position columns for the encoder input."""
-    x_batch = np.asarray(x_batch, dtype=np.float64)
+    """Batch array to stacked position columns for the encoder input: a new
+    C-ordered float64 array, converted and laid out in one copy."""
+    x_batch = np.asarray(x_batch)
     if cfg.kind == "vector":
         if x_batch.ndim != 2 or x_batch.shape[1] != cfg.input_shape[0]:
             raise ShapeError(f"encode: batch shape {x_batch.shape} for {cfg.input_shape}")
-        return x_batch.T.copy()
+        return x_batch.T.astype(np.float64, order="C")
     if x_batch.ndim != 4 or x_batch.shape[1:] != cfg.input_shape:
         raise ShapeError(f"encode: batch shape {x_batch.shape} for {cfg.input_shape}")
     b, c, h, w = x_batch.shape
-    return x_batch.transpose(1, 0, 2, 3).reshape(c, b * h * w)
+    return x_batch.transpose(1, 0, 2, 3).astype(np.float64, order="C").reshape(c, b * h * w)
 
 
 def encode(tape: Tape, params: ModelParams, x_batch: np.ndarray) -> tuple[Tensor, int]:

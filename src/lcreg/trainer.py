@@ -292,11 +292,19 @@ def model_config(cfg: TrainConfig, task: TaskSpec) -> ModelConfig:
 def run_training(cfg: TrainConfig, task: TaskSpec,
                  datasets: tuple[LongTailDataset, LongTailDataset] | None = None
                  ) -> TrainResult:
-    """One full two-stage run; returns the trained model and its report."""
+    """One full two-stage run; returns the trained model and its report.
+
+    ValueError, before any step, for a training split of another shape or,
+    when stage 2 runs, with a class that has no sample: its class-balanced
+    stream draws from every class."""
     t_start = time.perf_counter()
     train_ds, test_ds = datasets if datasets is not None else make_task_data(task, cfg.seed)
     if train_ds.sample_shape != (task.input_dim,):
         raise ValueError("run_training: dataset does not match task input_dim")
+    empty = np.flatnonzero(train_ds.counts == 0)
+    if cfg.t2_iters > 0 and empty.size:
+        raise ValueError(f"run_training: class {empty[0]} has no training sample, "
+                         f"so stage 2 cannot draw it")
     params = init_model(model_config(cfg, task), cfg.seed)
     weights = LossWeights(cfg.alpha, cfg.beta, cfg.gamma)
     pool = params.pool
@@ -436,7 +444,9 @@ def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,
     """A study grid. ``rows`` maps each row name to the TaskSpec and
     TrainConfig fields it overrides; the two share no field name, so the
     name says which one a field belongs to. Cells with the same task and
-    seed share one dataset.
+    seed share one dataset. Every dataset is made before any cell trains,
+    so a task whose samples overflow float32 (NonFiniteSampleError) stops
+    the grid at once.
 
     Returns the grid file: {"config": grid_config_dict(...), "seeds": [...],
     "rows": {name: {"seeds": {seed: metrics-or-error}}},
@@ -448,25 +458,26 @@ def run_ablation(base_cfg: TrainConfig, task: TaskSpec, seeds,
         raise ValueError(f"run_ablation: repeated seed in {seeds}")
     out: dict = {"config": grid_config_dict(base_cfg, task, rows),
                  "seeds": seeds, "rows": {}, "summary": {}}
-    data_cache = {}
+    task_overrides = {name: {k: v for k, v in overrides.items() if k in TASK_FIELDS}
+                      for name, overrides in rows.items()}
+    row_tasks = {name: replace(task, **task_overrides[name]) for name in rows}
+    datasets = {(row_task, s): make_task_data(row_task, s)
+                for row_task in dict.fromkeys(row_tasks.values()) for s in seeds}
     for name, overrides in rows.items():
-        task_overrides = {k: v for k, v in overrides.items() if k in TASK_FIELDS}
         train_overrides = {k: v for k, v in overrides.items() if k not in TASK_FIELDS}
-        row_task = replace(task, **task_overrides)
+        row_task = row_tasks[name]
         per_seed = {}
         for s in seeds:
-            if (row_task, s) not in data_cache:
-                data_cache[row_task, s] = make_task_data(row_task, s)
             cfg = replace(base_cfg, seed=s, **train_overrides)
-            result = run_training(cfg, row_task, datasets=data_cache[row_task, s])
+            result = run_training(cfg, row_task, datasets=datasets[row_task, s])
             if result.diverged:
                 per_seed[s] = {"error": "diverged", "at": result.diverged_at}
             else:
                 per_seed[s] = result.report.to_dict()
         out["rows"][name] = {"seeds": per_seed}
-        if task_overrides:
+        if task_overrides[name]:
             # format_grid compares a row with baseline only on the same task
-            out["rows"][name]["task"] = task_overrides
+            out["rows"][name]["task"] = task_overrides[name]
         clean = [m for m in per_seed.values() if "error" not in m]
         if clean:
             out["summary"][name] = {

@@ -2,6 +2,7 @@
 idempotent reruns, exit codes, and the report formats."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,40 @@ class TestMainExitCodes:
         assert captured.out == "" and not out.exists()
 
 
+class TestSplitPastFloat32:
+    """A setting whose samples overflow float32 is refused by every command
+    that synthesizes the splits: exit 2, one config error line, nothing
+    written and no numpy warning."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("build-dataset", ["--out", "out"]),
+        ("train", ["--out", "out"]),
+        ("train", ["--out", "out", "--ablate", "--seeds", "0"]),
+        ("train", ["--out", "out", "--ablate", "--seeds", "0",
+                   "--row", "a", "train.variant=baseline"]),
+        ("eval", ["--model", "run/model.lct"]),
+        ("report", ["--model", "run/model.lct", "--histogram-csv", "out/u.csv"]),
+    ], ids=["build-dataset", "train", "train-ablate", "train-ablate-row", "eval", "report"])
+    @pytest.mark.parametrize("setting", ["task.mean_scale=1e39", "task.stdev=1e39"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, config_file, monkeypatch, capsys,
+                                        command, extra, setting):
+        monkeypatch.setenv("LCREG_CACHE_DIR", str(tmp_path / "cache"))
+        if "run/model.lct" in extra:
+            assert main(["train", "--config", config_file, "--out", str(tmp_path / "run")]) == 0
+            capsys.readouterr()
+        extra = [str(tmp_path / a) if "/" in a or a == "out" else a for a in extra]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", config_file, "--set", setting, *extra])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert "not a finite float32 value" in err[0]
+        assert captured.out == "" and not caught
+        assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+
 class TestBuildDataset:
     def test_explicit_out_dir(self, tmp_path, config_file, capsys):
         out = tmp_path / "ds"
@@ -183,7 +218,8 @@ class TestBuildDataset:
 # Each names one way a cached split can be broken or belong to another task.
 CACHE_DAMAGES = ["missing_test_meta", "truncated_train_meta", "scalar_sample_shape",
                  "missing_test_corpus", "truncated_train_corpus", "wrong_sample_shape",
-                 "train_label_out_of_range", "test_label_out_of_range", "test_class_count"]
+                 "train_label_out_of_range", "test_label_out_of_range", "test_class_count",
+                 "test_samples_nan", "train_sample_inf", "train_class_empty"]
 
 
 def _damage_cache(root: Path, damage: str):
@@ -206,6 +242,13 @@ def _damage_cache(root: Path, damage: str):
         tensors["samples"] = samples[:, 0]
     elif damage == "wrong_sample_shape":
         tensors["samples"] = samples[..., None]
+    elif damage == "test_samples_nan":
+        samples[:100] = np.nan
+    elif damage == "train_sample_inf":
+        samples[-1, 2] = np.inf
+    elif damage == "train_class_empty":
+        keep = labels != 5
+        tensors["samples"], tensors["labels"] = samples[keep], labels[keep]
     else:
         labels[-1] = 12
         tensors["labels"] = labels
@@ -342,6 +385,18 @@ class TestTrain:
         assert len(err.strip().splitlines()) == 1
         assert "cannot load dataset cache" in err and str(root) in err
         assert not (out / "results.json").exists()
+
+    def test_from_cache_empty_train_class_is_named(self, tmp_path, config_file,
+                                                  monkeypatch, capsys):
+        monkeypatch.setenv("LCREG_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["build-dataset", "--config", config_file]) == 0
+        _damage_cache(Path(capsys.readouterr().out.strip()), "train_class_empty")
+        out = tmp_path / "r"
+        assert main(["train", "--config", config_file, "--out", str(out),
+                     "--from-cache"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("train split has no sample of class 5")
+        assert not out.exists()
 
     def test_corrupt_results_file_is_rerun(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"

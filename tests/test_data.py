@@ -1,11 +1,14 @@
 """Profiles, mixtures, samplers, splits, and the saved corpus."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcreg import data, tensorio
+from lcreg import data, tensorio, trainer
 from lcreg.data import (
     ClassSplit,
     LongTailDataset,
@@ -168,9 +171,9 @@ def test_corpus_roundtrip(tmp_path):
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.counts, ds.counts)
     assert back.seed == ds.seed
-    # synthesis rounds to float32, so the float32 corpus loses nothing
+    # splits are float32 in memory as on disk, so the corpus loses nothing
     assert np.array_equal(back.samples, ds.samples)
-    assert back.samples.dtype == np.float64
+    assert back.samples.dtype == np.float32
     tensors, meta = tensorio.load_tensors(tmp_path / "d" / "corpus.lct")
     assert tensors["samples"].dtype == np.float32 and tensors["labels"].dtype == np.uint32
     assert meta == {"corpus_version": 1, "num_classes": 3, "seed": ds.seed}
@@ -222,3 +225,97 @@ def test_dataset_validation():
         LongTailDataset(np.zeros((3, 2)), np.array([0, 1]), np.array([2, 1]), 0)
     with pytest.raises(ValueError):
         LongTailDataset(np.zeros((3, 2)), np.array([0, 1, 5]), np.array([2, 1]), 0)
+
+
+# -- float32 splits ---------------------------------------------------------
+
+
+def _reference_synthesis(spec, counts, seed):
+    """The float64 expression synthesis must round, bit for bit."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
+    xs, ys = [], []
+    for c, n in enumerate(counts):
+        noise = rng.standard_normal((int(n), spec.input_dim))
+        xs.append(spec.means[c] + spec.stdev * noise)
+        ys.append(np.full(int(n), c, dtype=np.int64))
+    return np.concatenate(xs).astype(np.float32), np.concatenate(ys)
+
+
+@pytest.mark.parametrize("spec, counts", [
+    (make_mixture_spec(10, 8, seed=0), build_profile(10, 500, 100.0)),  # default task
+    (make_mixture_spec(10, 121, seed=77, mean_scale=2.5, stdev=0.7),
+     build_profile(10, 200, 50.0)),
+    (make_mixture_spec(3, 4, seed=2, mean_scale=3.0, stdev=1.9), [7, 1, 2]),
+], ids=["default", "input_dim_121", "class_of_one"])
+@pytest.mark.parametrize("seed", [None, 1234567])
+def test_synthesis_rounds_the_reference_expression(spec, counts, seed):
+    ds = synthesize_mixture(spec, counts, seed=seed)
+    samples, labels = _reference_synthesis(spec, counts, spec.seed if seed is None else seed)
+    assert ds.samples.dtype == np.float32 and ds.samples.flags.c_contiguous
+    assert ds.samples.shape == samples.shape and ds.samples.tobytes() == samples.tobytes()
+    assert ds.labels.dtype == np.int64 and np.array_equal(ds.labels, labels)
+
+
+def test_splits_are_float32_everywhere(tmp_path):
+    task = trainer.TaskSpec(num_classes=4, input_dim=3, n_max=40, imbalance=10.0,
+                            test_per_class=5)
+    train, test = trainer.make_task_data(task, seed=0)
+    loaded = load_dataset(save_dataset(test, tmp_path / "test"))
+    for split in (_tiny_dataset(), train, test, loaded):
+        assert split.samples.dtype == np.float32
+    assert loaded.samples.tobytes() == test.samples.tobytes()
+
+
+def test_float64_input_is_rounded_like_astype():
+    rng = np.random.default_rng(3)
+    f32 = np.finfo(np.float32)
+    x = np.concatenate([rng.standard_normal(90) * 10.0 ** rng.integers(-40, 38, 90),
+                        [float(f32.max), -float(f32.max), float(f32.tiny) / 3, 1e-50,
+                         1 + 2.0 ** -24, 1 + 3 * 2.0 ** -24, -0.0]]).reshape(-1, 1)
+    ds = LongTailDataset(x, np.zeros(len(x), np.int64), [len(x)], 0)
+    assert ds.samples.dtype == np.float32
+    assert ds.samples.tobytes() == x.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -4e38])
+def test_non_finite_sample_is_refused_without_warning(bad):
+    x = np.zeros((5, 3))
+    x[3, 1] = bad
+    with np.errstate(over="ignore"):
+        x32 = x.astype(np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for samples in (x, x32):
+            with pytest.raises(data.NonFiniteSampleError, match="not a finite float32"):
+                LongTailDataset(samples, np.zeros(5, np.int64), [5], 0)
+
+
+@pytest.mark.parametrize("kw", [dict(mean_scale=1e39), dict(stdev=1e39)])
+def test_synthesis_past_float32_is_refused_without_warning(kw):
+    spec = make_mixture_spec(3, 4, seed=0, **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(data.NonFiniteSampleError, match="not a finite float32"):
+            synthesize_mixture(spec, [5, 3, 2])
+
+
+def test_non_finite_corpus_sample_is_refused(tmp_path):
+    path = save_dataset(_tiny_dataset(), tmp_path / "d") / "corpus.lct"
+    tensors, meta = tensorio.load_tensors(path)
+    tensors["samples"][7, 2] = np.nan
+    tensorio.save_tensors(path, tensors, meta)
+    with pytest.raises(data.NonFiniteSampleError, match="not a finite float32"):
+        load_dataset(tmp_path / "d")
+
+
+def test_synthesis_peak_is_near_its_output():
+    # a 40,000 x 8 split: the float32 array and the labels it returns, plus
+    # one float64 class block in flight
+    spec = make_mixture_spec(10, 8, seed=0)
+    tracemalloc.start()
+    try:
+        ds = synthesize_mixture(spec, np.full(10, 4000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (ds.samples.nbytes + ds.labels.nbytes)

@@ -107,6 +107,19 @@ class TestBatchLayout:
                     for x in range(4):
                         assert cols[c, b * 16 + y * 4 + x] == xb[b, c, y, x]
 
+    @pytest.mark.parametrize("cfg, shape", [
+        (vector_encoder(8, (), 4), (64, 8)),
+        (image_encoder(2, 5, 5, (), 4), (3, 2, 5, 5)),
+        (image_encoder(1, 11, 11, (8,), 16), (4, 1, 11, 11)),
+    ], ids=["vector", "image", "one_channel_image"])
+    def test_float32_batch_stacks_like_its_float64_copy(self, cfg, shape):
+        xb = np.random.default_rng(5).standard_normal(shape).astype(np.float32)
+        cols = stack_batch_columns(cfg, xb)
+        want = stack_batch_columns(cfg, xb.astype(np.float64))
+        for got in (cols, want):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert cols.shape == want.shape and cols.tobytes() == want.tobytes()
+
     def test_shape_mismatch_rejected(self):
         cfg = vector_encoder(3, (), 4)
         with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ import pytest
 
 from lcreg import trainer
 from lcreg.baseline import init_baseline, train_baseline
-from lcreg.data import LongTailDataset, load_dataset, realized_imbalance, save_dataset
+from lcreg.data import (LongTailDataset, NonFiniteSampleError, load_dataset,
+                        realized_imbalance, save_dataset)
 from lcreg.diffcore import Tape
 from lcreg.model import ModelConfig, forward, image_encoder, init_model
 from lcreg.tensorio import canonical_json
@@ -320,6 +321,26 @@ class TestRunTraining:
         b = run_training(tiny_cfg(seed=1), TINY_TASK)
         assert not np.array_equal(a.params.dec_w.value.data, b.params.dec_w.value.data)
 
+    @staticmethod
+    def _without_class(c):
+        train, test = make_task_data(TINY_TASK, seed=0)
+        keep = train.labels != c
+        train = LongTailDataset(train.samples[keep], train.labels[keep],
+                                np.bincount(train.labels[keep], minlength=6), train.seed)
+        return train, test
+
+    def test_empty_class_is_refused_before_stage_1(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stage 1 ran on a split that stage 2 cannot draw")
+
+        monkeypatch.setattr(trainer, "forward", no_step)
+        with pytest.raises(ValueError, match="class 4 has no training sample"):
+            run_training(tiny_cfg(), TINY_TASK, datasets=self._without_class(4))
+
+    def test_empty_class_trains_without_stage_2(self):
+        result = run_training(tiny_cfg(t2_iters=0), TINY_TASK, datasets=self._without_class(4))
+        assert not result.diverged and result.report is not None
+
 
 class TestEvaluate:
     def test_group_recombination_identity(self):
@@ -490,6 +511,15 @@ class TestAblation:
         monkeypatch.setattr(trainer, "make_task_data", no_training)
         with pytest.raises(ValueError, match="repeated seed"):
             run_ablation(tiny_cfg(), TINY_TASK, seeds=[0, 0])
+
+    def test_refused_task_stops_the_grid_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before every split was made")
+
+        monkeypatch.setattr(trainer, "run_training", no_training)
+        rows = {"a": {"variant": "baseline"}, "b": {"mean_scale": 1e39}}
+        with pytest.raises(NonFiniteSampleError, match="not a finite float32"):
+            run_ablation(tiny_cfg(), TINY_TASK, seeds=[0], rows=rows)
 
     def test_rows_share_datasets_per_seed(self):
         cfg = tiny_cfg(t1_iters=20, t2_iters=4)
