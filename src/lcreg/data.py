@@ -142,19 +142,23 @@ class MixtureSpec:
             raise ValueError("mixture: means shape mismatch")
         if self.stdev <= 0:
             raise ValueError("mixture: stdev must be positive")
-        if self.num_classes > 1:
-            diffs = means[:, None, :] - means[None, :, :]
-            dist = np.sqrt((diffs ** 2).sum(-1))
-            np.fill_diagonal(dist, np.inf)
-            if dist.min() == 0.0:
-                raise ValueError("mixture: class means must be pairwise distinct")
+        if not np.isfinite(means).all():
+            raise ValueError("mixture: class means must be finite")
+        # equal rows are adjacent once sorted, and compare exactly, with no
+        # arithmetic to overflow or underflow (np.unique(axis=0) would do
+        # the same, but its first call imports ~1.4 MB of modules)
+        order = np.lexsort(means.T) if self.input_dim else slice(None)
+        rows = means[order]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
+            raise ValueError("mixture: class means must be pairwise distinct")
 
 
 def make_mixture_spec(num_classes: int, input_dim: int, seed: int,
                       mean_scale: float = 1.0, stdev: float = 1.0) -> MixtureSpec:
     """Class means drawn N(0, mean_scale^2 I) from the spec seed."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
-    means = rng.standard_normal((num_classes, input_dim)) * mean_scale
+    with np.errstate(over="ignore"):  # a mean past float64 becomes inf, refused by the spec
+        means = rng.standard_normal((num_classes, input_dim)) * mean_scale
     return MixtureSpec(num_classes, input_dim, means, stdev, int(seed))
 
 

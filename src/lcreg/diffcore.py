@@ -2,10 +2,12 @@
 
 Values are dense float64 arrays wrapped in :class:`Tensor`. All computation
 goes through :class:`Tape`, which records each forward call in order and
-replays the sequence backward to accumulate gradients. There is no operator
-overloading and no graph structure beyond the recorded list: every kernel
-pairs a numpy forward with an analytic backward rule, and :func:`grad_check`
-verifies any composition against central finite differences.
+replays the sequence backward, once, to accumulate gradients. The replay
+consumes the record, so a finished step holds no activations. There is no
+operator overloading and no graph structure beyond the recorded list: every
+kernel pairs a numpy forward with an analytic backward rule, and
+:func:`grad_check` verifies any composition against central finite
+differences.
 
 Kernels are pure (no hidden state) and deterministic: identical inputs give
 bit-identical outputs. Gradients accumulate additively across uses of a
@@ -97,6 +99,13 @@ class Tape:
     its consumers. Gradients of parameters used via :meth:`use` are flushed
     additively into ``Parameter.grad`` at the end of the replay.
 
+    The replay consumes the record: it pops one entry at a time and drops
+    each node's gradient once that node's entry is replayed, so an entry's
+    closure and inputs are freed as soon as nothing else holds them.
+    Afterwards the tape holds only the gradients of leaves (constants and
+    :meth:`use` views) and of the seeded output, which :meth:`grad` returns.
+    A second ``backward`` on the same tape raises ``RuntimeError``.
+
     The replay keeps a value's first contribution as returned, without a
     copy, and copies only to start a sum (or to make a strided view
     contiguous). So a backward rule must never write to its cotangent ``g``
@@ -111,9 +120,10 @@ class Tape:
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        # None once backward has consumed it
+        self._entries: list[tuple[Tensor, tuple[Tensor, ...], object]] | None = []
         self._param_nodes: dict[int, tuple[Parameter, Tensor]] = {}
-        self._grads: dict[int, np.ndarray] = {}
+        self._grads: dict[int, tuple[Tensor, np.ndarray]] = {}
 
     # -- leaves ---------------------------------------------------------
 
@@ -367,7 +377,10 @@ class Tape:
 
     def backward(self, out: Tensor, cotangent=None) -> None:
         """Replay from ``out`` seeded with ``cotangent`` (shaped like ``out``);
-        without one, ``out`` must be a scalar and is seeded with 1.0."""
+        without one, ``out`` must be a scalar and is seeded with 1.0. The
+        replay consumes the record, so a second call raises."""
+        if self._entries is None:
+            raise RuntimeError("backward: this tape's record was already replayed")
         if cotangent is None:
             if out.data.size != 1:
                 raise ShapeError(f"backward: output must be scalar, got shape {out.shape}")
@@ -377,45 +390,55 @@ class Tape:
             if seed.shape != out.shape:
                 raise ShapeError(
                     f"backward: cotangent shape {seed.shape}, output shape {out.shape}")
-        grads: dict[int, np.ndarray] = {id(out): seed}
+        entries, self._entries = self._entries, None
+        # node id -> (node, gradient): a gradient is kept next to its node, so
+        # a leaf stays alive and a recycled id never answers for another node
+        grads: dict[int, tuple[Tensor, np.ndarray]] = {id(out): (out, seed)}
         owned: set[int] = set()  # nodes whose gradient is a private sum buffer
-        for node, inputs, bwd in reversed(self._entries):
-            g = grads.get(id(node))
-            if g is None:
+        while entries:
+            node, inputs, bwd = entries.pop()
+            hit = grads.pop(id(node), None)
+            if hit is None:
                 continue
-            for inp, contrib in zip(inputs, bwd(g)):
+            for inp, contrib in zip(inputs, bwd(hit[1])):
                 key = id(inp)
                 prev = grads.get(key)
                 if prev is None:
                     if not (contrib.flags.c_contiguous or contrib.flags.f_contiguous):
                         contrib = np.array(contrib)
-                    grads[key] = contrib
+                    grads[key] = (inp, contrib)
                 else:
+                    g = prev[1]
                     if key not in owned:
-                        prev = grads[key] = np.array(prev)
+                        g = np.array(g)
+                        grads[key] = (inp, g)
                         owned.add(key)
-                    prev += contrib
+                    g += contrib
+        # what is left are the leaves' gradients; the seed is kept too
+        grads[id(out)] = (out, seed)
         self._grads = grads
         for param, node in self._param_nodes.values():
-            g = grads.get(id(node))
-            if g is not None:
-                param.grad.data += g
+            hit = grads.get(id(node))
+            if hit is not None:
+                param.grad.data += hit[1]
 
     def grad(self, node: Tensor) -> np.ndarray:
-        """Gradient of the last backward target with respect to ``node``."""
-        g = self._grads.get(id(node))
-        if g is None:
+        """Gradient of the replayed output with respect to ``node``, a leaf
+        (a constant or a :meth:`use` view) or that output itself; zeros for
+        any other node, whose gradient the replay has dropped."""
+        hit = self._grads.get(id(node))
+        if hit is None or hit[0] is not node:
             return np.zeros_like(node.data)
-        return g
+        return hit[1]
 
 
 class ForwardTape(Tape):
     """A tape that runs the kernels without recording them, for forward
     passes that need no gradient (scoring, finite differences).
 
-    A recording tape keeps every intermediate alive until the tape is
-    dropped; here each intermediate is freed as soon as nothing else holds
-    it. Values are bit-identical to a recording tape's. Freeing early does
+    A recording tape keeps every intermediate alive until ``backward``
+    replays its entry; here each intermediate is freed as soon as nothing
+    else holds it. Values are bit-identical to a recording tape's. Freeing early does
     not bound a pass's working set: that is the width of the chunk scored
     (``trainer.EVAL_COLUMNS`` position columns), and each forward kernel
     allocates its output and at most one float temporary of that width. A

@@ -190,6 +190,40 @@ class TestSplitPastFloat32:
         assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
 
 
+class TestMeansPastFloat64:
+    """Class means whose squared gaps overflow (1e300) or that overflow
+    float64 themselves (1.7e308): one config error line, with no numpy
+    warning before it."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("build-dataset", ["--out", "out"]),
+        ("train", ["--out", "out"]),
+        ("eval", ["--model", "run/model.lct"]),
+    ], ids=["build-dataset", "train", "eval"])
+    @pytest.mark.parametrize("scale, message", [
+        ("1e300", "not a finite float32 value"),
+        ("1.7e308", "class means must be finite"),
+    ], ids=["1e300", "1.7e308"])
+    def test_one_error_line(self, tmp_path, config_file, monkeypatch, capsys,
+                            command, extra, scale, message):
+        monkeypatch.setenv("LCREG_CACHE_DIR", str(tmp_path / "cache"))
+        if "run/model.lct" in extra:
+            assert main(["train", "--config", config_file, "--out", str(tmp_path / "run")]) == 0
+            capsys.readouterr()
+        extra = [str(tmp_path / a) if "/" in a or a == "out" else a for a in extra]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", config_file,
+                         "--set", f"task.mean_scale={scale}", *extra])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert message in err[0]
+        assert captured.out == "" and not caught
+        assert not (tmp_path / "out").exists()
+
+
 class TestBuildDataset:
     def test_explicit_out_dir(self, tmp_path, config_file, capsys):
         out = tmp_path / "ds"

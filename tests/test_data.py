@@ -88,6 +88,22 @@ def test_mixture_rejects_duplicate_means():
         data.MixtureSpec(3, 4, means, 1.0, 0)
 
 
+def test_mixture_compares_means_exactly_and_refuses_non_finite():
+    # rows 1e-200 apart are distinct, though their squared gap underflows;
+    # rows 1e300 apart are distinct, though it overflows; neither warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data.MixtureSpec(2, 2, np.array([[1e-200, 0.0], [0.0, 0.0]]), 1.0, 0)
+        data.MixtureSpec(2, 2, np.array([[1e300, 0.0], [-1e300, 0.0]]), 1.0, 0)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            data.MixtureSpec(3, 2, np.array([[1e300, 1.0], [0.0, 0.0], [1e300, 1.0]]), 1.0, 0)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                data.MixtureSpec(2, 2, np.array([[bad, 0.0], [0.0, 0.0]]), 1.0, 0)
+        with pytest.raises(ValueError, match="must be finite"):
+            make_mixture_spec(10, 8, seed=0, mean_scale=1.7e308)
+
+
 def test_synthesize_mixture_grouped_and_counted():
     spec = make_mixture_spec(4, 8, seed=0)
     counts = build_profile(4, 50, 10.0)

@@ -1,6 +1,7 @@
 """Numeric core: kernel values, gradient checks, accumulation contract."""
 
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -361,7 +362,42 @@ def test_replay_leaves_cotangent_and_inputs_unchanged():
     assert np.array_equal(cot, kept)
     for node, v in zip(nodes, (x, z, m)):
         assert np.array_equal(node.data, v)
-    assert np.array_equal(tape.grad(doubled), kept[12:])
+    # the seed, of which every rule saw views, is unwritten too
+    assert np.array_equal(tape.grad(out), kept)
+
+
+def test_second_backward_raises_and_leaves_parameter_gradients():
+    # replaying one record twice used to flush its gradient into p.grad twice
+    p = Parameter(np.array([[3.0, -2.0]]), "w")
+    tape = Tape()
+    out = tape.matmul(tape.use(p), tape.constant(np.ones((2, 1))))
+    tape.backward(out)
+    assert np.array_equal(p.grad.data, [[1.0, 1.0]])
+    with pytest.raises(RuntimeError, match="already replayed"):
+        tape.backward(out)
+    assert np.array_equal(p.grad.data, [[1.0, 1.0]])
+
+
+def test_replay_frees_intermediates_and_keeps_leaves_and_seed():
+    rng = np.random.default_rng(5)
+    x, w = rng.standard_normal((3, 4)), rng.standard_normal((2, 3))
+    tape = Tape()
+    a = tape.constant(x.copy())
+    h = tape.tanh(a)
+    hidden = weakref.ref(h.data)
+    leaf = tape.constant(w.copy())
+    weights = weakref.ref(leaf.data)
+    out = tape.matmul(leaf, h)
+    del h, leaf  # the record alone holds them now, as it holds an inline constant
+    cot = rng.standard_normal(out.shape)
+    tape.backward(out, cot)
+    assert hidden() is None  # the tanh output died with its entry
+    # a leaf stays alive next to its gradient, so its id is never reused
+    assert weights() is not None
+    expect = (w.T @ cot) * (1.0 - np.tanh(x) ** 2)
+    assert np.allclose(tape.grad(a), expect, atol=1e-12)
+    assert np.array_equal(tape.grad(out), cot)
+    assert np.array_equal(tape.grad(Tensor(np.ones(3))), np.zeros(3))
 
 
 def test_mean_pool_over_one_column_is_identity():

@@ -2,6 +2,13 @@
 breakdown accounting, gradient routing, and checkpointing."""
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -581,3 +588,123 @@ class TestCheckpoint:
         tensorio.save_tensors(path, dict(tensors, **{"pool.enc_b": np.zeros(5)}), meta)
         with pytest.raises(ValueError, match="shape mismatch for pool.enc_b"):
             load_model(path, params.config)
+
+
+# the `spatial_recon` step: 1x11x11 maps, one hidden conv layer of 8, D 16,
+# M 24, B 64, so P = 25 and 1,600 position columns per batch
+SPATIAL_CONFIG = ModelConfig(image_encoder(1, 11, 11, (8,), 16), num_classes=10, num_latents=24)
+
+# 300 such steps in a fresh process; prints the minor page faults they take
+FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from lcreg import data, model, trainer
+from lcreg.augment import AugSchedule, init_stats, update_stats
+from lcreg.diffcore import Tape
+
+spec = data.make_mixture_spec(10, 121, seed=0)
+train = data.synthesize_mixture(spec, data.build_profile(10, 500, 100.0))
+maps = train.samples.reshape(-1, 1, 11, 11)
+# a 3,000-map scoring split, synthesized and dropped
+test = data.synthesize_mixture(spec, np.full(10, 300), seed=1)
+del test
+cfg = model.ModelConfig(model.image_encoder(1, 11, 11, (8,), 16), num_classes=10,
+                        num_latents=24)
+params = model.init_model(cfg, seed=0)
+stats = init_stats(24, 16)
+warm, steps = 5, 300
+schedule = AugSchedule(0.5, warm + steps)
+opt = trainer.SGD(params.parameters(), 0.05, 0.9, 5e-4,
+                  decay_params=params.decay_parameters())
+stream = data.batch_stream(train, "instance_balanced", 64, 0)
+ids = np.arange(24)
+for t in range(warm + steps):
+    if t == warm:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    idx = next(stream)
+    tape = Tape()
+    _, loss, _ = model.total_loss(tape, params, maps[idx], train.labels[idx], stats,
+                                  schedule.lambda_at(t + 1))
+    opt.zero_grad()
+    tape.backward(loss)
+    opt.step()
+    stats = update_stats(stats, params.pool.features.value.data, ids)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestStepMemory:
+    """A P = 25 step at the `spatial_recon` shape: the replay frees the
+    record as it goes, so a finished step holds no activations."""
+
+    def spatial_step(self):
+        params = init_model(SPATIAL_CONFIG, seed=0)
+        rng = np.random.default_rng(0)
+        stats = stats_for(params, rng)
+        xb = rng.standard_normal((64, 1, 11, 11)).astype(np.float32)
+        yb = rng.integers(0, 10, 64)
+
+        def step(tape):
+            _, loss, fwd = total_loss(tape, params, xb, yb, stats, 0.5)
+            assert fwd.positions == 25
+            del fwd  # what a training loop keeps: the loss node
+            tape.backward(loss)
+            return loss
+
+        return step
+
+    def test_traced_peak_of_one_step(self):
+        step = self.spatial_step()
+        step(Tape())  # warm every cache first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = step(Tape())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loss.data.shape == ()
+        # 3.73 MB; 5.37 MB while the replay kept its record
+        assert peak - base <= 4.3e6
+
+    def test_finished_step_holds_no_activations(self):
+        hidden = []
+
+        class WatchedTape(Tape):
+            def tanh(self, a):
+                out = super().tanh(a)
+                hidden.append(weakref.ref(out.data))
+                return out
+
+        step = self.spatial_step()
+        step(Tape())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tape = WatchedTape()
+            step(tape)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(hidden) == 1 and hidden[0]() is None
+        # leaf gradients and the input columns: 0.15 MB; 5.37 MB while the
+        # replay kept its record and every intermediate gradient
+        assert retained < 0.2e6
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="counts page faults under glibc's allocator")
+    def test_warm_steps_keep_their_heap_mapped(self):
+        # glibc trims the top of its heap once the free space there passes
+        # twice the largest block the process has freed, so what the process
+        # freed before sets the bar; dropping the 3,000-map split (1.45 MB)
+        # sets it to ~2.9 MB. A step that frees its record as it replays
+        # leaves ~2 MB there and keeps it mapped (0-3 faults over the 300
+        # steps); one that keeps the record frees ~5.4 MB at once when the
+        # tape is dropped, and the script then faults ~90,600 pages.
+        src = str(Path(model.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1",
+                   OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        faults = int(run.stdout.split()[-1])
+        assert faults < 20 * 300
