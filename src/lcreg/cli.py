@@ -43,6 +43,7 @@ from .trainer import (
     TaskSpec,
     TrainConfig,
     RESULTS_FORMAT_VERSION,
+    check_splits,
     config_hash,
     eval_chunks,
     evaluate,
@@ -135,30 +136,20 @@ def load_settings(config_path, set_pairs, seed=None) -> tuple[TaskSpec, TrainCon
         entries.update(_parse_pairs(path.read_text().splitlines(), str(path)))
     entries.update(_parse_pairs(set_pairs or [], "--set"))
 
-    task_fields = {f.name for f in fields(TaskSpec)}
-    train_fields = {f.name for f in fields(TrainConfig)}
-    task_kw: dict = {}
-    train_kw: dict = {}
-    task_defaults = TaskSpec()
-    train_defaults = TrainConfig()
+    defaults = {"task": TaskSpec(), "train": TrainConfig()}
+    kw: dict = {"task": {}, "train": {}}
     for key, raw in entries.items():
-        if key.startswith("task."):
-            name = key[len("task."):]
-            if name not in task_fields:
-                raise ConfigError(f"unknown key {key!r}")
-            task_kw[name] = _coerce(key, raw, getattr(task_defaults, name))
-        elif key.startswith("train."):
-            name = key[len("train."):]
-            if name not in train_fields:
-                raise ConfigError(f"unknown key {key!r}")
-            train_kw[name] = _coerce(key, raw, getattr(train_defaults, name))
-        else:
+        prefix, dot, name = key.partition(".")
+        if not dot or prefix not in defaults:
             raise ConfigError(f"unknown key {key!r} (use task. or train. prefixes)")
+        if name not in {f.name for f in fields(defaults[prefix])}:
+            raise ConfigError(f"unknown key {key!r}")
+        kw[prefix][name] = _coerce(key, raw, getattr(defaults[prefix], name))
     if seed is not None:
-        train_kw["seed"] = int(seed)
+        kw["train"]["seed"] = int(seed)
     try:
-        task = TaskSpec(**task_kw)
-        cfg = TrainConfig(**train_kw)
+        task = TaskSpec(**kw["task"])
+        cfg = TrainConfig(**kw["train"])
         # build what a run builds, so a value only they reject exits 2 here
         model_config(cfg, task)
         build_profile(task.num_classes, task.n_max, task.imbalance, task.profile)
@@ -221,9 +212,9 @@ def cmd_build_dataset(args) -> int:
     return 0
 
 
-def _load_cached_data(task: TaskSpec, seed: int):
+def _load_cached_data(task: TaskSpec, cfg: TrainConfig):
     """The cached (train, test) splits of ``task``, or None after one stderr line."""
-    root = dataset_cache_dir(_dataset_params(task, seed))
+    root = dataset_cache_dir(_dataset_params(task, cfg.seed))
     marker = root / "train" / CORPUS_FILE
     if not marker.exists():
         print(f"dataset cache miss: expected {marker}\n"
@@ -231,11 +222,7 @@ def _load_cached_data(task: TaskSpec, seed: int):
         return None
     try:
         splits = load_dataset(root / "train"), load_dataset(root / "test")
-        for name, split in zip(("train", "test"), splits):
-            if (split.num_classes, split.sample_shape) != (task.num_classes, (task.input_dim,)):
-                raise ValueError(f"{name} split has {split.num_classes} classes of shape "
-                                 f"{split.sample_shape}, not {task.num_classes} of "
-                                 f"{(task.input_dim,)}")
+        check_splits(cfg, task, splits)
         empty = np.flatnonzero(splits[0].counts == 0)
         if empty.size:
             raise ValueError(f"train split has no sample of class {empty[0]}")
@@ -243,6 +230,12 @@ def _load_cached_data(task: TaskSpec, seed: int):
         print(f"cannot load dataset cache {root}: {e}", file=sys.stderr)
         return None
     return splits
+
+
+def _task_splits(args, task: TaskSpec, cfg: TrainConfig):
+    """The (train, test) splits a command runs on: cached with
+    ``--from-cache`` (None after one stderr line), synthesized otherwise."""
+    return _load_cached_data(task, cfg) if args.from_cache else _synthesize(task, cfg.seed)
 
 
 def _read_run_record(path: Path) -> dict:
@@ -294,12 +287,9 @@ def cmd_train(args) -> int:
         print(f"results up to date for config {want_hash}; skipping")
         return 0
 
-    if args.from_cache:
-        datasets = _load_cached_data(task, cfg.seed)
-        if datasets is None:
-            return 1
-    else:
-        datasets = _synthesize(task, cfg.seed)
+    datasets = _task_splits(args, task, cfg)
+    if datasets is None:
+        return 1
     out.mkdir(parents=True, exist_ok=True)
     result = run_training(cfg, task, datasets=datasets)
     with atomic_write(out / "history.jsonl", "w") as fh:
@@ -344,29 +334,18 @@ def cmd_eval(args) -> int:
     params = _load_params(Path(args.model), task, cfg)
     if params is None:
         return 1
-    if args.from_cache:
-        datasets = _load_cached_data(task, cfg.seed)
-        if datasets is None:
-            return 1
-    else:
-        datasets = _synthesize(task, cfg.seed)
+    datasets = _task_splits(args, task, cfg)
+    if datasets is None:
+        return 1
     train, test = datasets
     report = evaluate(params, test, train.counts)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    if args.instances < 1:
-        print("--instances must be at least 1", file=sys.stderr)
-        return 2
-    failed = False
-    for report in standard_kernel_checks(instances=args.instances):
-        mark = "ok" if report.passed else "FAIL"
-        print(f"{report.op:<24} max_rel={report.max_rel_err:.3e} "
-              f"tol={report.tolerance:.0e} {mark}")
-        failed = failed or not report.passed
-
+def _gradcheck_reports(instances: int):
+    """The kernel battery's reports, then the end-to-end check's."""
+    yield from standard_kernel_checks(instances=instances)
     enc = image_encoder(1, 6, 6, (3,), 4)
     params = init_model(ModelConfig(enc, num_classes=3, num_latents=3), seed=0)
     rng = np.random.default_rng(0)
@@ -374,12 +353,19 @@ def cmd_gradcheck(args) -> int:
     labels = np.arange(3)
     stats = update_stats(init_stats(3, 4), rng.standard_normal((24, 4)),
                          np.repeat(np.arange(3), 8))
-    report = end_to_end_grad_check(params, xb, labels, stats, lam=0.5,
-                                   tolerance=1e-4)
-    mark = "ok" if report.passed else "FAIL"
-    print(f"{report.op:<24} max_rel={report.max_rel_err:.3e} "
-          f"tol={report.tolerance:.0e} {mark}")
-    failed = failed or not report.passed
+    yield end_to_end_grad_check(params, xb, labels, stats, lam=0.5, tolerance=1e-4)
+
+
+def cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        print("--instances must be at least 1", file=sys.stderr)
+        return 2
+    failed = False
+    for report in _gradcheck_reports(args.instances):
+        mark = "ok" if report.passed else "FAIL"
+        print(f"{report.op:<24} max_rel={report.max_rel_err:.3e} "
+              f"tol={report.tolerance:.0e} {mark}")
+        failed = failed or not report.passed
     return 1 if failed else 0
 
 

@@ -24,6 +24,8 @@ from .tensorio import content_hash, load_tensors, save_tensors
 
 CORPUS_FILE = "corpus.lct"
 CORPUS_VERSION = 1
+# Most classes a stored split with no sample may name (512 kB of counts)
+EMPTY_SPLIT_MAX_CLASSES = 1 << 16
 CACHE_ENV_VAR = "LCREG_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".lcreg_cache"
 
@@ -228,7 +230,9 @@ def save_dataset(dataset: LongTailDataset, dirpath) -> Path:
 
 def load_dataset(dirpath) -> LongTailDataset:
     """The split saved in ``dirpath``; ValueError for any other container, for
-    a label outside the stored class count and for a non-finite sample."""
+    a class count below 1 or above the sample count (``EMPTY_SPLIT_MAX_CLASSES``
+    for an empty split), for a label outside the stored class count and for a
+    non-finite sample."""
     tensors, meta = load_tensors(Path(dirpath) / CORPUS_FILE)
     if (meta.get("corpus_version") != CORPUS_VERSION or tensors.keys() != {"samples", "labels"}
             or meta.keys() != {"corpus_version", "num_classes", "seed"}):
@@ -239,6 +243,10 @@ def load_dataset(dirpath) -> LongTailDataset:
             or samples.shape[:1] != labels.shape):
         raise ValueError(f"load_dataset: want float32 samples [N, ...] and uint32 labels [N], "
                          f"got {samples.dtype} {samples.shape} and {labels.dtype} {labels.shape}")
+    # the count sizes the class counts, so it is bounded first: every split
+    # the program synthesizes has a sample of every class
+    if not 1 <= num_classes <= (len(labels) or EMPTY_SPLIT_MAX_CLASSES):
+        raise ValueError(f"load_dataset: {num_classes} classes for {len(labels)} samples")
     if labels.size and labels.max() >= num_classes:
         raise ValueError(f"load_dataset: label {labels.max()} is out of range "
                          f"for {num_classes} classes")

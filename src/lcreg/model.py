@@ -1,11 +1,14 @@
 """Classifier with a latent category pool between encoder and decoder.
 
 The encoder maps a batch to a feature map with D channels over P positions
-per sample (vector data collapses to P = 1; image data keeps a small spatial
-grid). The latent pool scores every position against M shared latent
-vectors; the normalized similarity channels are concatenated onto the
-features, globally average-pooled per sample, and classified by a linear
-decoder. Batches are carried as stacked position columns [D, B*P].
+per sample. It has one path: each hidden layer is a tanh of a 1x1 map over
+the positions, which for image data first gathers each 3x3 stride-2 patch
+into one column (a conv), and a final 1x1 map gives the D channels. A
+vector sample is one position of ``dim`` channels, so its encoder is the
+same stack at P = 1, an MLP. The latent pool scores every position against
+M shared latent vectors; the normalized similarity channels are concatenated
+onto the features, globally average-pooled per sample, and classified by a
+linear decoder. Batches are carried as stacked position columns [D, B*P].
 
 The training objective of every variant (``objective``) combines three terms:
     total = gamma * cls + alpha * reconstruction + beta * latent augmentation
@@ -52,12 +55,13 @@ def conv_grid(height: int, width: int, layers: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Shape contract of the feature extractor.
+    """Shape contract of the feature extractor: input_shape is (channels,
+    *spatial), each hidden width is one layer, and a final 1x1 map produces
+    feature_dim channels on ``grid``.
 
-    kind "vector": input_shape (dim,), an MLP, grid must be (1, 1).
-    kind "image": input_shape (channels, H, W); each hidden width is one
-    3x3 stride-2 conv; a final 1x1 map produces feature_dim channels on
-    ``grid``.
+    kind "vector": input_shape (dim,), one position, so grid must be (1, 1)
+    and each hidden layer is dense. kind "image": input_shape (channels, H,
+    W); each hidden layer is a 3x3 stride-2 conv.
     """
     kind: str
     input_shape: tuple[int, ...]
@@ -152,16 +156,10 @@ class ModelParams:
 
 def _encoder_layer_dims(cfg: EncoderConfig) -> list[tuple[int, int]]:
     """(fan_out, fan_in) per layer, conv kernels flattened into fan_in."""
-    if cfg.kind == "vector":
-        dims = [cfg.input_shape[0], *cfg.hidden, cfg.feature_dim]
-        return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
+    taps = 1 if cfg.kind == "vector" else CONV_KERNEL * CONV_KERNEL
     chans = [cfg.input_shape[0], *cfg.hidden]
-    layers = [
-        (chans[i + 1], chans[i] * CONV_KERNEL * CONV_KERNEL)
-        for i in range(len(cfg.hidden))
-    ]
-    layers.append((cfg.feature_dim, chans[-1]))  # final 1x1 map
-    return layers
+    layers = [(chans[i + 1], chans[i] * taps) for i in range(len(cfg.hidden))]
+    return layers + [(cfg.feature_dim, chans[-1])]  # final 1x1 map
 
 
 def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -223,8 +221,7 @@ def _patch_indices(channels: int, height: int, width: int, batch: int) -> np.nda
     if hit is not None:
         return hit
     k, s = CONV_KERNEL, CONV_STRIDE
-    h1 = (height - k) // s + 1
-    w1 = (width - k) // s + 1
+    h1, w1 = conv_grid(height, width, 1)
     p0, p1 = height * width, h1 * w1
     ky = np.arange(k)
     kx = np.arange(k)
@@ -246,17 +243,13 @@ def _patch_indices(channels: int, height: int, width: int, batch: int) -> np.nda
 
 
 def stack_batch_columns(cfg: EncoderConfig, x_batch: np.ndarray) -> np.ndarray:
-    """Batch array to stacked position columns for the encoder input: a new
-    C-ordered float64 array, converted and laid out in one copy."""
+    """Batch array to stacked position columns [C, B*P] for the encoder
+    input: a new C-ordered float64 array, converted and laid out in one
+    copy. A vector sample is one position of ``dim`` channels."""
     x_batch = np.asarray(x_batch)
-    if cfg.kind == "vector":
-        if x_batch.ndim != 2 or x_batch.shape[1] != cfg.input_shape[0]:
-            raise ShapeError(f"encode: batch shape {x_batch.shape} for {cfg.input_shape}")
-        return x_batch.T.astype(np.float64, order="C")
-    if x_batch.ndim != 4 or x_batch.shape[1:] != cfg.input_shape:
+    if x_batch.shape[1:] != cfg.input_shape:
         raise ShapeError(f"encode: batch shape {x_batch.shape} for {cfg.input_shape}")
-    b, c, h, w = x_batch.shape
-    return x_batch.transpose(1, 0, 2, 3).astype(np.float64, order="C").reshape(c, b * h * w)
+    return x_batch.swapaxes(0, 1).astype(np.float64, order="C").reshape(cfg.input_shape[0], -1)
 
 
 def encode(tape: Tape, params: ModelParams, x_batch: np.ndarray) -> tuple[Tensor, int]:
@@ -264,25 +257,16 @@ def encode(tape: Tape, params: ModelParams, x_batch: np.ndarray) -> tuple[Tensor
     cfg = params.config.encoder
     batch = len(x_batch)
     h = tape.constant(stack_batch_columns(cfg, x_batch))
-    layers = [(params.encoder[2 * i], params.encoder[2 * i + 1])
-              for i in range(len(params.encoder) // 2)]
-    if cfg.kind == "vector":
-        for w, b in layers[:-1]:
-            h = tape.tanh(tape.linear_map_1x1(h, tape.use(w), tape.use(b)))
-        w, b = layers[-1]
-        f = tape.linear_map_1x1(h, tape.use(w), tape.use(b))
-        return f, 1
-    chans, (height, width) = cfg.input_shape[0], cfg.input_shape[1:]
-    for w, b in layers[:-1]:
-        idx = _patch_indices(chans, height, width, batch)
-        patches = tape.take_flat(h, idx)
-        h = tape.tanh(tape.linear_map_1x1(patches, tape.use(w), tape.use(b)))
-        chans = w.value.shape[0]
-        height = (height - CONV_KERNEL) // CONV_STRIDE + 1
-        width = (width - CONV_KERNEL) // CONV_STRIDE + 1
-    w, b = layers[-1]
-    f = tape.linear_map_1x1(h, tape.use(w), tape.use(b))
-    return f, height * width
+    chans, grid = cfg.input_shape[0], cfg.input_shape[1:]
+    *hidden, (w, b) = [(params.encoder[i], params.encoder[i + 1])
+                       for i in range(0, len(params.encoder), 2)]
+    for w_h, b_h in hidden:
+        if cfg.kind == "image":
+            h = tape.take_flat(h, _patch_indices(chans, *grid, batch))
+            grid = conv_grid(*grid, 1)
+        h = tape.tanh(tape.linear_map_1x1(h, tape.use(w_h), tape.use(b_h)))
+        chans = w_h.value.shape[0]
+    return tape.linear_map_1x1(h, tape.use(w), tape.use(b)), cfg.positions
 
 
 def decode(tape: Tape, params: ModelParams, pooled: Tensor) -> Tensor:

@@ -289,18 +289,28 @@ def model_config(cfg: TrainConfig, task: TaskSpec) -> ModelConfig:
     return ModelConfig(enc, task.num_classes, cfg.num_latents, latent_on=cfg.latent_on)
 
 
+def check_splits(cfg: TrainConfig, task: TaskSpec,
+                 splits: tuple[LongTailDataset, LongTailDataset]) -> None:
+    """ValueError unless the (train, test) splits both hold samples of the
+    model's input shape over the task's classes."""
+    want = (task.num_classes, model_config(cfg, task).encoder.input_shape)
+    for name, split in zip(("train", "test"), splits):
+        if (split.num_classes, split.sample_shape) != want:
+            raise ValueError(f"{name} split has {split.num_classes} classes of shape "
+                             f"{split.sample_shape}, not {want[0]} of {want[1]}")
+
+
 def run_training(cfg: TrainConfig, task: TaskSpec,
                  datasets: tuple[LongTailDataset, LongTailDataset] | None = None
                  ) -> TrainResult:
     """One full two-stage run; returns the trained model and its report.
 
-    ValueError, before any step, for a training split of another shape or,
-    when stage 2 runs, with a class that has no sample: its class-balanced
-    stream draws from every class."""
+    ValueError, before any step, for splits that fail ``check_splits`` or,
+    when stage 2 runs, for a training split with a class that has no sample:
+    its class-balanced stream draws from every class."""
     t_start = time.perf_counter()
     train_ds, test_ds = datasets if datasets is not None else make_task_data(task, cfg.seed)
-    if train_ds.sample_shape != (task.input_dim,):
-        raise ValueError("run_training: dataset does not match task input_dim")
+    check_splits(cfg, task, (train_ds, test_ds))
     empty = np.flatnonzero(train_ds.counts == 0)
     if cfg.t2_iters > 0 and empty.size:
         raise ValueError(f"run_training: class {empty[0]} has no training sample, "

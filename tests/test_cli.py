@@ -253,7 +253,8 @@ class TestBuildDataset:
 CACHE_DAMAGES = ["missing_test_meta", "truncated_train_meta", "scalar_sample_shape",
                  "missing_test_corpus", "truncated_train_corpus", "wrong_sample_shape",
                  "train_label_out_of_range", "test_label_out_of_range", "test_class_count",
-                 "test_samples_nan", "train_sample_inf", "train_class_empty"]
+                 "test_samples_nan", "train_sample_inf", "train_class_empty",
+                 "train_class_count_2e40"]
 
 
 def _damage_cache(root: Path, damage: str):
@@ -283,6 +284,8 @@ def _damage_cache(root: Path, damage: str):
     elif damage == "train_class_empty":
         keep = labels != 5
         tensors["samples"], tensors["labels"] = samples[keep], labels[keep]
+    elif damage == "train_class_count_2e40":
+        meta["num_classes"] = 2 ** 40  # 8 TB of class counts, if sized unchecked
     else:
         labels[-1] = 12
         tensors["labels"] = labels

@@ -324,6 +324,41 @@ def test_non_finite_corpus_sample_is_refused(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("stored, samples", [
+    (2 ** 40, 60), ("n_plus_1", 60), (0, 60), (-3, 60),
+    (data.EMPTY_SPLIT_MAX_CLASSES + 1, 0), (0, 0),
+], ids=["2e40", "n_plus_1", "zero", "negative", "empty_past_max", "empty_zero"])
+def test_corpus_class_count_is_bounded_before_any_array(tmp_path, stored, samples):
+    ds = _tiny_dataset()
+    path = save_dataset(ds, tmp_path / "d") / "corpus.lct"
+    tensors, meta = tensorio.load_tensors(path)
+    tensors = {k: v[:samples] for k, v in tensors.items()}
+    count = samples + 1 if stored == "n_plus_1" else stored
+    tensorio.save_tensors(path, tensors, dict(meta, num_classes=count))
+    # a count sized before the check would ask for 8 TB, or 8 bytes a class
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^load_dataset: {count} classes for "
+                                             rf"{samples} samples$"):
+            load_dataset(tmp_path / "d")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def test_corpus_class_count_bounds_are_inclusive(tmp_path):
+    ds = _tiny_dataset()
+    path = save_dataset(ds, tmp_path / "d") / "corpus.lct"
+    tensors, meta = tensorio.load_tensors(path)
+    n = len(ds.labels)
+    tensorio.save_tensors(path, tensors, dict(meta, num_classes=n))
+    assert load_dataset(tmp_path / "d").num_classes == n
+    empty = {k: v[:0] for k, v in tensors.items()}
+    tensorio.save_tensors(path, empty, dict(meta, num_classes=data.EMPTY_SPLIT_MAX_CLASSES))
+    assert load_dataset(tmp_path / "d").counts.shape == (data.EMPTY_SPLIT_MAX_CLASSES,)
+
+
 def test_synthesis_peak_is_near_its_output():
     # a 40,000 x 8 split: the float32 array and the labels it returns, plus
     # one float64 class block in flight

@@ -2,6 +2,7 @@
 run records, the component grid, and exact agreement with the independent
 plain-classifier implementation when every component is off."""
 
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -336,6 +337,28 @@ class TestRunTraining:
         monkeypatch.setattr(trainer, "forward", no_step)
         with pytest.raises(ValueError, match="class 4 has no training sample"):
             run_training(tiny_cfg(), TINY_TASK, datasets=self._without_class(4))
+
+    @pytest.mark.parametrize("split, damage", [
+        (0, "shape"), (1, "shape"), (0, "classes"), (1, "classes"),
+    ])
+    def test_split_contract_is_checked_before_stage_1(self, monkeypatch, split, damage):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stage 1 ran on splits the model cannot take")
+
+        splits = list(make_task_data(TINY_TASK, seed=0))
+        ds = splits[split]
+        if damage == "shape":
+            ds = LongTailDataset(ds.samples[:, :4], ds.labels, ds.counts, ds.seed)
+            have = "6 classes of shape (4,)"
+        else:  # a 5-class split: its last class's samples dropped
+            keep = ds.labels < 5
+            ds = LongTailDataset(ds.samples[keep], ds.labels[keep], ds.counts[:5], ds.seed)
+            have = "5 classes of shape (5,)"
+        splits[split] = ds
+        monkeypatch.setattr(trainer, "forward", no_step)
+        want = f"{('train', 'test')[split]} split has {have}, not 6 of (5,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            run_training(tiny_cfg(), TINY_TASK, datasets=tuple(splits))
 
     def test_empty_class_trains_without_stage_2(self):
         result = run_training(tiny_cfg(t2_iters=0), TINY_TASK, datasets=self._without_class(4))
