@@ -564,6 +564,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:  # an output that cannot be written
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 def entrypoint():

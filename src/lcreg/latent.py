@@ -41,10 +41,6 @@ class LatentPool:
             raise ValueError("LatentPool: encoder map shapes do not match D")
 
     @property
-    def num_latents(self) -> int:
-        return self.features.value.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.features.value.shape[1]
 
@@ -66,8 +62,7 @@ def init_pool(num_latents: int, dim: int, seed: int) -> LatentPool:
 
 @dataclass
 class SimilarityStack:
-    """Per-position latent scores: raw after sigmoid, normalized over latents."""
-    raw: Tensor         # [M, P]
+    """Per-position latent scores: sigmoid, then normalized over latents."""
     normalized: Tensor  # [M, P], columns sum to 1
     encoded: Tensor     # [M, D] encoded latents, reused by reconstruction
 
@@ -83,9 +78,8 @@ def similarity_maps(tape: Tape, pool: LatentPool, f: Tensor) -> SimilarityStack:
     if f.data.ndim != 2 or f.shape[0] != pool.dim:
         raise ShapeError(f"similarity_maps: f shape {f.shape}, pool dim {pool.dim}")
     enc = encoded_latents(tape, pool)
-    raw = tape.sigmoid(tape.matmul(enc, f))
-    normalized = tape.softmax(raw, axis=0)
-    return SimilarityStack(raw=raw, normalized=normalized, encoded=enc)
+    normalized = tape.softmax(tape.sigmoid(tape.matmul(enc, f)), axis=0)
+    return SimilarityStack(normalized=normalized, encoded=enc)
 
 
 @dataclass

@@ -59,53 +59,43 @@ class EncoderConfig:
     *spatial), each hidden width is one layer, and a final 1x1 map produces
     feature_dim channels on ``grid``.
 
-    kind "vector": input_shape (dim,), one position, so grid must be (1, 1)
-    and each hidden layer is dense. kind "image": input_shape (channels, H,
-    W); each hidden layer is a 3x3 stride-2 conv.
+    The input shape gives ``kind`` and ``grid``: (dim,) is "vector", one
+    position (grid (1, 1)) whose hidden layers are dense; (channels, H, W)
+    is "image", whose hidden layers are 3x3 stride-2 convs.
     """
-    kind: str
+    kind: str = field(init=False)
     input_shape: tuple[int, ...]
     hidden: tuple[int, ...]
     feature_dim: int
-    grid: tuple[int, int] = (1, 1)
+    grid: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(int(s) for s in self.input_shape))
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        object.__setattr__(self, "grid", tuple(int(g) for g in self.grid))
         if self.feature_dim < 2:
             raise ValueError("EncoderConfig: feature_dim must be >= 2")
         if any(h < 1 for h in self.hidden):
             raise ValueError("EncoderConfig: hidden widths must be positive")
-        if self.kind == "vector":
-            if len(self.input_shape) != 1:
-                raise ValueError("EncoderConfig: vector input_shape must be (dim,)")
-            if self.grid != (1, 1):
-                raise ValueError("EncoderConfig: vector data uses grid (1, 1)")
-        elif self.kind == "image":
-            if len(self.input_shape) != 3:
-                raise ValueError("EncoderConfig: image input_shape must be (C, H, W)")
-            expect = conv_grid(self.input_shape[1], self.input_shape[2], len(self.hidden))
-            if self.grid != expect:
-                raise ValueError(
-                    f"EncoderConfig: grid {self.grid} does not match conv stack {expect}"
-                )
+        if len(self.input_shape) == 1:
+            kind, grid = "vector", (1, 1)
+        elif len(self.input_shape) == 3:
+            kind, grid = "image", conv_grid(*self.input_shape[1:], len(self.hidden))
         else:
-            raise ValueError(f"EncoderConfig: unknown kind {self.kind!r}")
+            raise ValueError(f"EncoderConfig: input_shape {self.input_shape} is "
+                             f"neither (dim,) nor (C, H, W)")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "grid", grid)
 
     @property
     def positions(self) -> int:
         return self.grid[0] * self.grid[1]
 
 
-def vector_encoder(input_dim: int, hidden: tuple[int, ...], feature_dim: int) -> EncoderConfig:
-    return EncoderConfig("vector", (input_dim,), tuple(hidden), feature_dim, (1, 1))
-
-
 def image_encoder(channels: int, height: int, width: int,
                   hidden: tuple[int, ...], feature_dim: int) -> EncoderConfig:
-    grid = conv_grid(height, width, len(hidden))
-    return EncoderConfig("image", (channels, height, width), tuple(hidden), feature_dim, grid)
+    """``EncoderConfig`` of (channels, height, width) maps, the one-call
+    constructor ``bench/workloads.py`` uses."""
+    return EncoderConfig((channels, height, width), hidden, feature_dim)
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,8 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict[str, int] | No
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, int]]:
-    """Read a container; a short, cut or malformed file raises ValueError.
+    """Read a container; a short, cut or malformed file, or one that repeats
+    a tensor name or meta key, raises ValueError.
     Each tensor is a C-contiguous, writable array of its stored dtype that
     owns its memory, read straight from the file into place."""
     with open(path, "rb", buffering=0) as raw:
@@ -132,10 +133,14 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, int]]:
         meta: dict[str, int] = {}
         for _ in range(_U32.unpack(fh.read(need(4)))[0]):
             key = fh.read(need(_U16.unpack(fh.read(need(2)))[0])).decode()
+            if key in meta:
+                raise ValueError(f"load_tensors: meta key {key!r} repeated in {path}")
             (meta[key],) = _I64.unpack(fh.read(need(8)))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(_U32.unpack(fh.read(need(4)))[0]):
             name = fh.read(need(_U16.unpack(fh.read(need(2)))[0])).decode()
+            if name in tensors:
+                raise ValueError(f"load_tensors: tensor {name!r} repeated in {path}")
             code, ndim = divmod(fh.read(need(1))[0], MAX_NDIM + 1)
             if code == len(DTYPES):
                 raise ValueError(f"load_tensors: tensor {name!r} has unknown dtype code {code}")

@@ -31,6 +31,7 @@ from .data import (
 )
 from .diffcore import ForwardTape, Tape
 from .model import (
+    EncoderConfig,
     LossWeights,
     ModelConfig,
     ModelParams,
@@ -38,7 +39,6 @@ from .model import (
     forward,
     init_model,
     objective,
-    vector_encoder,
 )
 from .tensorio import canonical_json, content_hash
 
@@ -285,7 +285,7 @@ class TrainResult:
 
 
 def model_config(cfg: TrainConfig, task: TaskSpec) -> ModelConfig:
-    enc = vector_encoder(task.input_dim, cfg.hidden, cfg.feature_dim)
+    enc = EncoderConfig((task.input_dim,), cfg.hidden, cfg.feature_dim)
     return ModelConfig(enc, task.num_classes, cfg.num_latents, latent_on=cfg.latent_on)
 
 

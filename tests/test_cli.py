@@ -325,10 +325,10 @@ class TestTrain:
             def failing_save(*a, **kw):
                 raise OSError("disk full")
             m.setattr(cli, "save_model", failing_save)
-            with pytest.raises(OSError):
-                main(args)
+            capsys.readouterr()
+            assert main(args) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
         assert not (out / "results.json").exists()
-        capsys.readouterr()
         assert main(args) == 0
         assert "skipping" not in capsys.readouterr().out
         assert (out / "model.lct").exists() and (out / "results.json").exists()
@@ -725,6 +725,22 @@ class TestEval:
                                      for line in err)
         assert not (tmp_path / "u.csv").exists()
 
+    def test_repeated_tensor_fails_cleanly(self, tmp_path, config_file, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out)]) == 0
+        tensors, meta = tensorio.load_tensors(out / "model.lct")
+        bad = tmp_path / "bad.lct"
+        # "dec.x" sorts right after "dec.w"; renamed, the file stores dec.w twice
+        tensorio.save_tensors(bad, {**tensors, "dec.x": np.zeros_like(tensors["dec.w"])}, meta)
+        bad.write_bytes(bad.read_bytes().replace(b"dec.x", b"dec.w"))
+        capsys.readouterr()
+        assert main(["eval", "--config", config_file, "--model", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot load checkpoint")
+        assert "tensor 'dec.w' repeated" in err[0]
+
     def test_checkpoint_without_iteration_fails_cleanly(self, tmp_path, config_file, capsys):
         out = tmp_path / "run"
         assert main(["train", "--config", config_file, "--out", str(out)]) == 0
@@ -1039,9 +1055,10 @@ class TestAtomicWrites:
         assert main(["build-dataset", "--config", config_file, "--out", str(out)]) == 0
         before = _snapshot(out)
         _fail_replace_onto(monkeypatch, name)
-        with pytest.raises(OSError):
-            main(["build-dataset", "--config", config_file, "--out", str(out),
-                  "--seed", "1"])
+        capsys.readouterr()
+        assert main(["build-dataset", "--config", config_file, "--out", str(out),
+                     "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
         after = _snapshot(out)
         assert sorted(after) == sorted(before)  # no temporary file left behind
         assert all(after[k] == before[k] for k in before if k.name == name)
@@ -1053,8 +1070,29 @@ class TestAtomicWrites:
         csv_path = tmp_path / "usage.csv"
         csv_path.write_text("previous\n")
         _fail_replace_onto(monkeypatch, "usage.csv")
-        with pytest.raises(OSError):
-            main(["report", "--config", config_file, "--model", str(out / "model.lct"),
-                  "--histogram-csv", str(csv_path)])
+        capsys.readouterr()
+        assert main(["report", "--config", config_file, "--model", str(out / "model.lct"),
+                     "--histogram-csv", str(csv_path)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
         assert csv_path.read_text() == "previous\n"
         assert not (tmp_path / "usage.csv.tmp").exists()
+
+    @pytest.mark.parametrize("command", ["train", "build-dataset", "report"])
+    def test_output_under_a_regular_file_is_one_error_line(self, tmp_path, config_file,
+                                                           capsys, command):
+        out = tmp_path / "run"
+        if command == "report":
+            assert main(["train", "--config", config_file, "--out", str(out)]) == 0
+        blocker = tmp_path / "F"
+        blocker.write_text("a file, not a directory\n")
+        args = {"train": ["--out", str(blocker)],
+                "build-dataset": ["--out", str(blocker)],
+                "report": ["--model", str(out / "model.lct"),
+                           "--histogram-csv", str(blocker / "x.csv")]}[command]
+        capsys.readouterr()
+        assert main([command, "--config", config_file, *args]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(blocker) in err[0]
+        assert blocker.read_text() == "a file, not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["F", "tiny.cfg"] + (["run"] if command == "report" else []))

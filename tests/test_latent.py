@@ -29,7 +29,7 @@ def identity_pool(m, d):
 
 def test_hand_similarity_single_position():
     # M=2, D=2, identity encoder. f column [1, 0].
-    # latents [[2, 0], [0, 3]] give raw scores sigmoid(2) and sigmoid(0).
+    # latents [[2, 0], [0, 3]] give sigmoid scores sigmoid(2) and sigmoid(0).
     pool = identity_pool(2, 2)
     pool.features.value.data[:] = [[2.0, 0.0], [0.0, 3.0]]
     f = np.array([[1.0], [0.0]])
@@ -37,10 +37,9 @@ def test_hand_similarity_single_position():
     sims = similarity_maps(tape, pool, tape.constant(f))
     s2 = 1.0 / (1.0 + math.exp(-2.0))
     s0 = 0.5
-    assert sims.raw.data[0, 0] == pytest.approx(s2, rel=1e-12)
-    assert sims.raw.data[1, 0] == pytest.approx(s0, rel=1e-12)
     e2, e0 = math.exp(s2), math.exp(s0)
     assert sims.normalized.data[0, 0] == pytest.approx(e2 / (e2 + e0), rel=1e-12)
+    assert sims.normalized.data[1, 0] == pytest.approx(e0 / (e2 + e0), rel=1e-12)
     assert sims.normalized.data[:, 0].sum() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -263,4 +262,4 @@ def test_normalization_property(seed, m, d, p):
     sims = similarity_maps(tape, pool, tape.constant(rng.standard_normal((d, p)) * 3.0))
     cols = sims.normalized.data.sum(axis=0)
     assert np.all(np.abs(cols - 1.0) <= 1e-12)
-    assert np.isfinite(sims.raw.data).all()
+    assert np.isfinite(sims.normalized.data).all()

@@ -38,12 +38,11 @@ from lcreg.model import (
     save_model,
     stack_batch_columns,
     total_loss,
-    vector_encoder,
 )
 
 
 def small_vector_config(latent_on=True):
-    enc = vector_encoder(input_dim=5, hidden=(6,), feature_dim=4)
+    enc = EncoderConfig(input_shape=(5,), hidden=(6,), feature_dim=4)
     return ModelConfig(enc, num_classes=3, num_latents=3, latent_on=latent_on)
 
 
@@ -78,25 +77,46 @@ class TestEncoderConfig:
         with pytest.raises(ValueError):
             conv_grid(4, 4, 2)
 
-    def test_vector_grid_must_be_unit(self):
-        with pytest.raises(ValueError):
-            EncoderConfig("vector", (5,), (4,), 4, grid=(2, 2))
+    def test_vector_shape_is_one_position(self):
+        cfg = EncoderConfig((5,), (4,), 4)
+        assert (cfg.kind, cfg.grid, cfg.positions) == ("vector", (1, 1), 1)
 
-    def test_image_grid_must_match_stack(self):
-        with pytest.raises(ValueError):
-            EncoderConfig("image", (1, 7, 7), (3,), 4, grid=(2, 2))
+    def test_image_grid_follows_conv_stack(self):
         cfg = image_encoder(1, 7, 7, (3,), 4)
-        assert cfg.grid == (3, 3)
-        assert cfg.positions == 9
+        assert cfg == EncoderConfig((1, 7, 7), (3,), 4)
+        assert (cfg.kind, cfg.grid, cfg.positions) == ("image", (3, 3), 9)
+        assert EncoderConfig((2, 11, 9), (3, 5), 4).grid == conv_grid(11, 9, 2) == (2, 1)
+        # no hidden layer: the final 1x1 map keeps the input grid
+        assert EncoderConfig((2, 4, 5), (), 4).grid == (4, 5)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            EncoderConfig("audio", (5,), (), 4)
+    @pytest.mark.parametrize("shape", [(), (1, 7), (1, 1, 7, 7)],
+                             ids=["no_axis", "two_axes", "four_axes"])
+    def test_input_shape_of_other_length_rejected(self, shape):
+        with pytest.raises(ValueError, match="neither"):
+            EncoderConfig(shape, (), 4)
+
+    def test_image_too_small_for_stack_rejected(self):
+        with pytest.raises(ValueError, match="too small"):
+            EncoderConfig((1, 4, 4), (3, 3), 4)
+
+    def test_kind_and_grid_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            EncoderConfig("vector", (5,), (4,), 4)
+        with pytest.raises(TypeError):
+            EncoderConfig((5,), (4,), 4, grid=(1, 1))
+
+    def test_model_config_repr_is_pinned(self):
+        # the spatial_recon benchmark hashes this repr into its record digest
+        cfg = ModelConfig(image_encoder(1, 11, 11, (8,), 16), 10, 24)
+        assert repr(cfg) == (
+            "ModelConfig(encoder=EncoderConfig(kind='image', input_shape=(1, 11, 11), "
+            "hidden=(8,), feature_dim=16, grid=(5, 5)), num_classes=10, num_latents=24, "
+            "latent_on=True)")
 
 
 class TestBatchLayout:
     def test_vector_stacking_is_transpose(self):
-        cfg = vector_encoder(3, (), 4)
+        cfg = EncoderConfig((3,), (), 4)
         xb = np.arange(6.0).reshape(2, 3)
         cols = stack_batch_columns(cfg, xb)
         assert cols.shape == (3, 2)
@@ -115,7 +135,7 @@ class TestBatchLayout:
                         assert cols[c, b * 16 + y * 4 + x] == xb[b, c, y, x]
 
     @pytest.mark.parametrize("cfg, shape", [
-        (vector_encoder(8, (), 4), (64, 8)),
+        (EncoderConfig((8,), (), 4), (64, 8)),
         (image_encoder(2, 5, 5, (), 4), (3, 2, 5, 5)),
         (image_encoder(1, 11, 11, (8,), 16), (4, 1, 11, 11)),
     ], ids=["vector", "image", "one_channel_image"])
@@ -128,7 +148,7 @@ class TestBatchLayout:
         assert cols.shape == want.shape and cols.tobytes() == want.tobytes()
 
     def test_shape_mismatch_rejected(self):
-        cfg = vector_encoder(3, (), 4)
+        cfg = EncoderConfig((3,), (), 4)
         with pytest.raises(ValueError):
             stack_batch_columns(cfg, np.zeros((2, 4)))
 
@@ -284,7 +304,7 @@ class TestForward:
         assert lengths[0] == lengths[1]
 
     def test_single_latent_degenerates_cleanly(self):
-        enc = vector_encoder(5, (6,), 4)
+        enc = EncoderConfig((5,), (6,), 4)
         cfg = ModelConfig(enc, num_classes=3, num_latents=1)
         params = init_model(cfg, seed=1)
         xb = np.random.default_rng(2).standard_normal((4, 5))

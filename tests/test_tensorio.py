@@ -1,9 +1,10 @@
 """The tensor container behind every checkpoint and dataset split: bitwise
 round trips for any shape and each stored dtype, loaded arrays that own their
 memory, and a clean ValueError for a file with a bad header, a cut anywhere,
-or bytes past its end."""
+bytes past its end, or a repeated tensor name or meta key."""
 
 import hashlib
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -132,6 +133,40 @@ class TestMalformed:
             path.write_bytes(container[:size])
             with pytest.raises(ValueError, match="bad magic"):
                 tensorio.load_tensors(path)
+
+
+def pack_float64(meta: list, tensors: list) -> bytes:
+    """A container packed by hand from (key, value) and (name, array) lists
+    in the given order, repeats included."""
+    parts = [b"LCT1", struct.pack("<II", 1, len(meta))]
+    for key, value in meta:
+        parts += (struct.pack("<H", len(key)), key.encode(), struct.pack("<q", value))
+    parts.append(struct.pack("<I", len(tensors)))
+    for name, arr in tensors:
+        arr = np.asarray(arr, dtype="<f8")
+        parts += (struct.pack("<H", len(name)), name.encode(), bytes((arr.ndim,)),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes())
+    return b"".join(parts)
+
+
+class TestRepeatedNames:
+    def test_hand_packing_matches_save_tensors(self, tmp_path):
+        path = tmp_path / "t.lct"
+        tensorio.save_tensors(path, {"x": np.arange(3.0), "y": np.ones((2, 2))}, {"k": 1})
+        assert path.read_bytes() == pack_float64(
+            [("k", 1)], [("x", np.arange(3.0)), ("y", np.ones((2, 2)))])
+
+    def test_repeated_tensor_name_is_refused(self, tmp_path):
+        path = tmp_path / "t.lct"
+        path.write_bytes(pack_float64([], [("x", np.zeros(3)), ("x", np.zeros(5))]))
+        with pytest.raises(ValueError, match="tensor 'x' repeated"):
+            tensorio.load_tensors(path)
+
+    def test_repeated_meta_key_is_refused(self, tmp_path):
+        path = tmp_path / "t.lct"
+        path.write_bytes(pack_float64([("k", 1), ("k", 7)], [("x", np.zeros(3))]))
+        with pytest.raises(ValueError, match="meta key 'k' repeated"):
+            tensorio.load_tensors(path)
 
 
 class TestDtypes:

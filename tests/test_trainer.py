@@ -3,6 +3,7 @@ run records, the component grid, and exact agreement with the independent
 plain-classifier implementation when every component is off."""
 
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -428,6 +429,26 @@ class TestEvaluate:
             mask = test.labels == c
             want = float((pred[mask] == c).mean())
             assert report.per_class[c] == pytest.approx(want, abs=1e-12)
+
+    def test_traced_peak_of_one_pass_over_3000_maps(self):
+        # the `spatial_recon` scoring pass: 1x11x11 maps (P = 25), D 16, M 24
+        cfg = ModelConfig(image_encoder(1, 11, 11, (8,), 16), num_classes=10, num_latents=24)
+        params = init_model(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        labels = np.arange(3000) % 10
+        test = LongTailDataset(rng.standard_normal((3000, 1, 11, 11)).astype(np.float32),
+                               labels, np.bincount(labels, minlength=10), 0)
+        counts = np.array([500, 300, 200, 120, 70, 40, 25, 15, 8, 5])
+        evaluate(params, test, counts)  # warm every cache first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate(params, test, counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 1.58 MB; 1.77 MB while each chunk kept its [M, columns] sigmoid map
+        assert peak - base <= 1.68e6
 
     def test_empty_split_gives_all_zero_report(self, tmp_path):
         params = init_model(trainer.model_config(tiny_cfg(), TINY_TASK), seed=0)
