@@ -27,10 +27,11 @@ Monte-Carlo estimate of the expectation must not exceed it beyond noise;
 latents and the classifier but never through the covariance, which enters as
 a detached constant.
 
-The quadratic term of every (m, j) pair is one tape kernel,
-`Tape.quadratic_penalty`, which the class-wise baseline gathers by label.
-With V_mj = w_j - w_m it computes (lambda / 2) V_mj^T Sigma_m V_mj; its
-backward is G_mj = (lambda / 2) g_mj (Sigma_m + Sigma_m^T) V_mj with
+The whole score matrix z is one tape kernel, `Tape.isda_scores`. Its
+quadratic term, (lambda / 2) V_mj^T Sigma_m V_mj with V_mj = w_j - w_m, is
+also a kernel of its own, `Tape.quadratic_penalty`, which the class-wise
+baseline gathers by label; both share one backward rule for it,
+G_mj = (lambda / 2) g_mj (Sigma_m + Sigma_m^T) V_mj with
 dw_j = sum_m G_mj - sum_k G_jk.
 """
 
@@ -95,6 +96,24 @@ def _merge(stats: CategoryStats, n_b, mu_b, cov_b) -> CategoryStats:
     return CategoryStats(n, mean, cov)
 
 
+def _merge_one_each(stats: CategoryStats, values: np.ndarray) -> CategoryStats:
+    """``_merge`` of one observation per category (n_b = 1, mu_b = values,
+    cov_b = 0), bit for bit, without building the zero batch covariance:
+    w (0 - S) and S (-w) differ at most in the sign of a zero, which adding S
+    makes +0.0 either way."""
+    n = stats.count + 1
+    w = 1.0 / n
+    delta = values - stats.mean
+    mean = w[:, None] * delta
+    mean += stats.mean
+    cov = stats.cov * (-w)[:, None, None]
+    cov += stats.cov
+    outer = delta[:, :, None] * delta[:, None, :]
+    outer *= (w * (1.0 - w))[:, None, None]
+    cov += outer
+    return CategoryStats(n, mean, cov)
+
+
 def update_stats(stats: CategoryStats, values: np.ndarray, categories) -> CategoryStats:
     """Merge a batch of observations (rows of ``values``, labeled by
     ``categories``) into the running stats. Returns new stats."""
@@ -109,8 +128,7 @@ def update_stats(stats: CategoryStats, values: np.ndarray, categories) -> Catego
         raise ValueError("update_stats: category out of range")
 
     if len(categories) == m and np.array_equal(categories, np.arange(m)):
-        # one observation per category: it is the batch mean, with zero covariance
-        return _merge(stats, np.ones(m, dtype=np.int64), values, np.zeros_like(stats.cov))
+        return _merge_one_each(stats, values)
     onehot = (categories == np.arange(m)[:, None]).astype(np.float64)  # [M, B]
     n_b = np.bincount(categories, minlength=m)
     per = np.maximum(n_b, 1)
@@ -153,9 +171,7 @@ def latent_aug_logits(tape: Tape, latents: Tensor, w: Tensor, b: Tensor,
         raise ShapeError("latent_aug_logits: stats do not match latents")
     if lam < 0:
         raise ValueError("latent_aug_logits: lambda must be >= 0")
-    plain = tape.transpose(tape.linear_map_1x1(tape.transpose(latents), w, b))
-    aug = tape.add(plain, tape.quadratic_penalty(w, stats.cov, lam))
-    return tape.sub_colvec(aug, tape.take_flat(aug, np.arange(m) * (m + 1)))
+    return tape.isda_scores(latents, w, b, stats.cov, lam)
 
 
 def isda_upper_bound_loss(tape: Tape, latents: Tensor, w: Tensor, b: Tensor,

@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -310,6 +311,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _unwritable_dir(path: Path) -> Path | None:
+    """None when ``path`` is, or can be made as, a directory this process
+    writes to; else its nearest existing ancestor (or ``path`` itself), which
+    is not a directory the process can write and enter. Creates nothing."""
+    probe = path.absolute()
+    while not probe.exists():
+        probe = probe.parent
+    if probe.is_dir() and os.access(probe, os.W_OK | os.X_OK):
+        return None
+    return probe
+
+
 def _train_ablation(args, task: TaskSpec, cfg: TrainConfig) -> int:
     seeds = parse_seeds(DEFAULT_SEEDS if args.seeds is None else args.seeds)
     rows = parse_rows(args.config, args.set, args.row) if args.row else COMPONENT_ROWS
@@ -319,6 +332,12 @@ def _train_ablation(args, task: TaskSpec, cfg: TrainConfig) -> int:
     if _read_run_record(path).get("ablation_hash") == want:
         print(f"ablation up to date for config {want}; skipping")
         return 0
+    # the grid file is written once every cell has trained: fail before that
+    blocked = _unwritable_dir(path.parent)
+    if blocked is not None:
+        print(f"error: cannot write {path}: {blocked} is not a writable directory",
+              file=sys.stderr)
+        return 1
     try:
         grid = run_ablation(cfg, task, seeds, rows)
     except NonFiniteSampleError as e:

@@ -90,6 +90,22 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return num
 
 
+def _pair_penalty(w: np.ndarray, cov: np.ndarray, half: float):
+    """(q, q_grad): q[m, j] = half V[m, j] cov[m] V[m, j]^T with
+    V[m, j] = w_j - w_m, and q_grad(g) the gradient of sum(g * q) in w:
+        G[m, j] = half g[m, j] V[m, j] (cov[m] + cov[m]^T)
+        q_grad  = sum over m of G[m, :] - sum over j of G[:, j]
+    """
+    v = w[None, :, :] - w[:, None, :]
+    q = np.einsum("mjd,mjd->mj", np.matmul(v, cov), v) * half
+
+    def q_grad(g):
+        gv = (g * half)[:, :, None] * np.matmul(v, cov + cov.transpose(0, 2, 1))
+        return gv.sum(axis=0) - gv.sum(axis=1)
+
+    return q, q_grad
+
+
 class Tape:
     """Recorded computation sequence; replaying it in reverse yields gradients.
 
@@ -107,16 +123,17 @@ class Tape:
     A second ``backward`` on the same tape raises ``RuntimeError``.
 
     The replay keeps a value's first contribution as returned, without a
-    copy, and copies only to start a sum (or to make a strided view
-    contiguous). So a backward rule must never write to its cotangent ``g``
-    or to the arrays it returns, which may be views of ``g``. A kernel works
-    in place only on arrays it has just allocated: never on its inputs, on
-    ``g``, or on what a derivative rule such as ``_sigmoid_grad`` returns,
-    which a test may swap for one returning its argument. Memory order
-    must be kept: the copy is ``np.array``, which keeps it, and the sum is
-    taken in place. A C- or F-ordered gradient selects a different BLAS
-    path downstream, so a change of order changes the rounding of later
-    products, and with it the bytes of every training record.
+    copy, and allocates only to start a sum (or copies to make a strided
+    view contiguous). So a backward rule must never write to its cotangent
+    ``g`` or to the arrays it returns, which may be views of ``g``. A kernel
+    works in place only on arrays it has just allocated: never on its
+    inputs, on ``g``, or on what a derivative rule such as ``_sigmoid_grad``
+    returns, which a test may swap for one returning its argument. Memory
+    order must be kept: a sum's buffer is ``np.empty_like`` the first
+    contribution, which keeps it, and later ones are added in place. A C-
+    or F-ordered gradient selects a different BLAS path downstream, so a
+    change of order changes the rounding of later products, and with it the
+    bytes of every training record.
     """
 
     def __init__(self):
@@ -239,7 +256,8 @@ class Tape:
         np.exp(e, out=e)
         lse = np.log(e.sum(axis=1, keepdims=True)) + m
         losses = lse[:, 0] - x[rows, t]
-        out = Tensor(losses.mean())
+        # what .mean() computes, without its Python-level wrapper
+        out = Tensor(np.add.reduce(losses) / n)
 
         def bwd(g):
             p = x - lse
@@ -267,17 +285,6 @@ class Tape:
 
         return self._record(out, (x, w, b), bwd)
 
-    def sub_colvec(self, a: Tensor, v: Tensor) -> Tensor:
-        """a[n,m] - v[n] broadcast across columns."""
-        if a.data.ndim != 2 or v.data.ndim != 1 or v.shape[0] != a.shape[0]:
-            raise ShapeError(f"sub_colvec: shapes {a.shape} and {v.shape}")
-        out = Tensor(a.data - v.data[:, None])
-
-        def bwd(g):
-            return g, -g.sum(axis=1)
-
-        return self._record(out, (a, v), bwd)
-
     def take_flat(self, a: Tensor, idx: np.ndarray) -> Tensor:
         """Gather from the flattened input; backward scatter-adds."""
         flat = a.data.reshape(-1)
@@ -303,15 +310,56 @@ class Tape:
         cov = np.asarray(cov, dtype=np.float64)
         if w.data.ndim != 2 or cov.shape != (w.shape[0], w.shape[1], w.shape[1]):
             raise ShapeError(f"quadratic_penalty: weights {w.shape} with cov {cov.shape}")
-        half = float(lam) / 2.0
-        v = w.data[None, :, :] - w.data[:, None, :]
-        out = Tensor(np.einsum("mjd,mjd->mj", np.matmul(v, cov), v) * half)
+        q, q_grad = _pair_penalty(w.data, cov, float(lam) / 2.0)
+        out = Tensor(q)
 
         def bwd(g):
-            gv = (g * half)[:, :, None] * np.matmul(v, cov + cov.transpose(0, 2, 1))
-            return (gv.sum(axis=0) - gv.sum(axis=1),)
+            return (q_grad(g),)
 
         return self._record(out, (w,), bwd)
+
+    def isda_scores(self, x: Tensor, w: Tensor, b: Tensor, cov, lam: float) -> Tensor:
+        """Score matrix of the latent augmentation bound, [M, M].
+
+        Row m scores x_m [D] against every class j of a linear classifier
+        (w [M, D], b [M]) relative to its own class m, with the quadratic
+        term of ``quadratic_penalty`` under a detached cov [M, D, D]:
+            forward   z[m, j] = V[m, j] x_m + (b_j - b_m) + q[m, j],
+                      V[m, j] = w_j - w_m, so z[m, m] is exactly 0
+            backward  with ga = g less each row's sum on the diagonal and
+                      gy = ga^T: dx = (w^T gy)^T, db = sum over j of gy[:, j],
+                      dw = (quadratic_penalty's dw at ga) + gy x
+        Values and gradients equal, bit for bit, those of the composition
+        transpose(linear_map_1x1(transpose(x), w, b)) + quadratic_penalty(w)
+        less its diagonal per row.
+        """
+        cov = np.asarray(cov, dtype=np.float64)
+        if x.data.ndim != 2 or w.shape != x.shape or b.shape != (x.shape[0],):
+            raise ShapeError(f"isda_scores: shapes x{x.shape} w{w.shape} b{b.shape}")
+        m, d = x.shape
+        if cov.shape != (m, d, d):
+            raise ShapeError(f"isda_scores: latents {x.shape} with cov {cov.shape}")
+        xt = np.ascontiguousarray(x.data.T)
+        y = w.data @ xt
+        y += b.data[:, None]
+        z = np.ascontiguousarray(y.T)
+        q, q_grad = _pair_penalty(w.data, cov, float(lam) / 2.0)
+        z += q
+        z -= z.diagonal().copy()[:, None]
+        out = Tensor(z)
+
+        def bwd(g):
+            # g + 0.0 off the diagonal (so -0.0 becomes 0.0) and on it less
+            # the row sum: what adding the diagonal's zero-filled scatter gave
+            ga = g + 0.0
+            rows = np.arange(m)
+            ga[rows, rows] -= g.sum(axis=1)
+            gy = ga.T
+            dw = q_grad(ga)
+            dw += gy @ xt.T
+            return (w.data.T @ gy).T, dw, gy.sum(axis=1)
+
+        return self._record(out, (x, w, b), bwd)
 
     def block_correlation(self, a: Tensor, b: Tensor, width: int) -> Tensor:
         """Per-block correlation of a, b [D, K*width] cut into K column blocks.
@@ -395,25 +443,27 @@ class Tape:
         # a leaf stays alive and a recycled id never answers for another node
         grads: dict[int, tuple[Tensor, np.ndarray]] = {id(out): (out, seed)}
         owned: set[int] = set()  # nodes whose gradient is a private sum buffer
+        next_entry, pop, get = entries.pop, grads.pop, grads.get
         while entries:
-            node, inputs, bwd = entries.pop()
-            hit = grads.pop(id(node), None)
+            node, inputs, bwd = next_entry()
+            hit = pop(id(node), None)
             if hit is None:
                 continue
             for inp, contrib in zip(inputs, bwd(hit[1])):
                 key = id(inp)
-                prev = grads.get(key)
+                prev = get(key)
                 if prev is None:
                     if not (contrib.flags.c_contiguous or contrib.flags.f_contiguous):
                         contrib = np.array(contrib)
                     grads[key] = (inp, contrib)
-                else:
+                elif key in owned:
                     g = prev[1]
-                    if key not in owned:
-                        g = np.array(g)
-                        grads[key] = (inp, g)
-                        owned.add(key)
                     g += contrib
+                else:
+                    # the sum's buffer takes the first contribution's order
+                    g = prev[1]
+                    grads[key] = (inp, np.add(g, contrib, out=np.empty_like(g)))
+                    owned.add(key)
         # what is left are the leaves' gradients; the seed is kept too
         grads[id(out)] = (out, seed)
         self._grads = grads
@@ -531,10 +581,11 @@ KERNEL_CHECKS = (
     ("cross_entropy", lambda t, a: t.cross_entropy(a, [0, 2, 1]), lambda rand: [rand(3, 4)]),
     ("linear_map_1x1", lambda t, x, w, b: t.linear_map_1x1(x, w, b),
      lambda rand: [rand(4, 5), rand(3, 4), rand(3)]),
-    ("sub_colvec", lambda t, a, v: t.sub_colvec(a, v), lambda rand: [rand(3, 4), rand(3)]),
     ("take_flat", lambda t, a: t.take_flat(a, _TAKE_FLAT_IDX), lambda rand: [rand(11)]),
     ("quadratic_penalty", lambda t, w: t.quadratic_penalty(w, _PENALTY_COV, 0.8),
      lambda rand: [rand(4, 3)]),
+    ("isda_scores", lambda t, x, w, b: t.isda_scores(x, w, b, _PENALTY_COV, 0.8),
+     lambda rand: [rand(4, 3), rand(4, 3), rand(4)]),
     ("block_correlation", lambda t, a, b: t.block_correlation(a, b, 3),
      lambda rand: [rand(4, 9), rand(4, 9)]),
     ("concat_rows", lambda t, a, b: t.concat_rows(a, b), lambda rand: [rand(2, 4), rand(3, 4)]),

@@ -328,6 +328,7 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
     diverged = False
     diverged_at = None
 
+    latent_ids = np.arange(cfg.num_latents)
     stream = batch_stream(train_ds, "instance_balanced", cfg.batch_size, cfg.seed)
     opt = SGD(params.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay,
               decay_params=params.decay_parameters())
@@ -349,8 +350,7 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
         if cfg.aug_on and pool is not None:
             # each step contributes the current latents as one observation
             # per category, so counts equal the iteration number
-            stats = update_stats(stats, pool.features.value.data,
-                                 np.arange(cfg.num_latents))
+            stats = update_stats(stats, pool.features.value.data, latent_ids)
         if not np.isfinite(breakdown.total) or abs(breakdown.total) > DIVERGENCE_LIMIT:
             diverged, diverged_at = True, t
             break

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcreg import augment
 from lcreg.augment import (
     AugSchedule,
     CategoryStats,
@@ -20,7 +21,9 @@ from lcreg.augment import (
     sample_augmented,
     update_stats,
 )
-from lcreg.diffcore import Tape, grad_check
+from lcreg.diffcore import Tape, Tensor, grad_check
+from lcreg.trainer import (TaskSpec, TrainConfig, canonical_record_bytes, make_run_record,
+                           run_training)
 
 
 def population_moments(x):
@@ -94,6 +97,26 @@ def test_one_observation_per_category_fast_path():
     assert np.array_equal(stats_fast.count, stats_slow.count)
     assert np.allclose(stats_fast.mean, stats_slow.mean, atol=1e-12)
     assert np.allclose(stats_fast.cov, stats_slow.cov, atol=1e-12)
+
+
+def test_one_observation_merge_is_merge_bit_for_bit():
+    # the fast path must reproduce _merge with n_b = 1 and cov_b = 0 exactly,
+    # signed zeros included, and leave the stats it is given untouched
+    rng = np.random.default_rng(15)
+    m, d = 6, 4
+    stats = init_stats(m, d)
+    for step in range(50):
+        obs = rng.standard_normal((m, d)) * (1.0 + step % 5)
+        if step % 2:
+            obs[step % m] = -0.0
+        kept = [a.copy() for a in (stats.count, stats.mean, stats.cov)]
+        got = update_stats(stats, obs, np.arange(m))
+        want = augment._merge(stats, np.ones(m, dtype=np.int64), obs, np.zeros((m, d, d)))
+        for before, now in zip(kept, (stats.count, stats.mean, stats.cov)):
+            assert before.tobytes() == now.tobytes()
+        for a, b in ((got.count, want.count), (got.mean, want.mean), (got.cov, want.cov)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        stats = got
 
 
 def loop_merge_one(n_a, mu_a, cov_a, n_b, mu_b, cov_b):
@@ -276,6 +299,38 @@ def test_latent_aug_logits_matches_numpy_loop():
             expect[i, j] = diff @ latents[i] + b[j] - b[i] + 0.5 * lam * diff @ cov[i] @ diff
     assert np.abs(z - expect).max() <= 1e-12
     assert np.all(np.diagonal(z) == 0.0)
+
+
+def _sub_colvec(tape, a, v):
+    """The retired ``Tape.sub_colvec``: a[n, m] - v[n] across columns."""
+    return tape._record(Tensor(a.data - v.data[:, None]), (a, v),
+                        lambda g: (g, -g.sum(axis=1)))
+
+
+def composed_latent_aug_logits(tape, latents, w, b, stats, lam):
+    """The tape composition ``Tape.isda_scores`` replaced: seven entries."""
+    m = latents.shape[0]
+    plain = tape.transpose(tape.linear_map_1x1(tape.transpose(latents), w, b))
+    aug = tape.add(plain, tape.quadratic_penalty(w, stats.cov, lam))
+    return _sub_colvec(tape, aug, tape.take_flat(aug, np.arange(m) * (m + 1)))
+
+
+def test_full_run_matches_composed_bound_byte_for_byte(monkeypatch):
+    task = TaskSpec()
+    cfg = TrainConfig(variant="full", t1_iters=200, t2_iters=20)
+
+    def run():
+        # the record alone can miss a last-bit change, so the weights and
+        # statistics it ends with are compared too
+        result = run_training(cfg, task)
+        stats = result.stats
+        return (canonical_record_bytes(make_run_record(cfg, task, result)),
+                [p.value.data.tobytes() for p in result.params.parameters()],
+                [a.tobytes() for a in (stats.count, stats.mean, stats.cov)])
+
+    fused = run()
+    monkeypatch.setattr(augment, "latent_aug_logits", composed_latent_aug_logits)
+    assert run() == fused
 
 
 def test_lambda_zero_equals_plain_cross_entropy():

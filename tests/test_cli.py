@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcreg import cli, diffcore, tensorio
+from lcreg import cli, diffcore, tensorio, trainer
 from lcreg.cli import ConfigError, load_settings, main
 from lcreg.data import LongTailDataset, dataset_cache_dir, load_dataset, save_dataset
 from lcreg.trainer import COMPONENT_GRID, canonical_record_bytes
@@ -500,6 +500,25 @@ class TestAblate:
             printed = capsys.readouterr().out
             assert printed.startswith("ablation up to date") and "skipping" in printed
 
+    def test_unwritable_out_exits_1_before_any_cell(self, tmp_path, config_file, capsys,
+                                                    monkeypatch):
+        blocker = tmp_path / "F"
+        blocker.write_text("a file, not a directory")
+        calls = []
+        real = trainer.run_training
+        monkeypatch.setattr(trainer, "run_training",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["train", "--config", config_file, "--out", str(blocker / "sub"),
+                     "--ablate", "--seeds", "0", "--set", "train.t1_iters=10"]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(blocker) in err[0]
+        assert captured.out == ""
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "a file, not a directory"
+
     def test_corrupt_ablation_file_is_rerun(self, tmp_path, config_file, capsys):
         out = tmp_path / "grid"
         out.mkdir()
@@ -761,6 +780,7 @@ class TestGradcheck:
         assert "end_to_end_total_loss" in out
         assert "cross_entropy" in out
         assert "quadratic_penalty" in out
+        assert "isda_scores" in out
         assert "FAIL" not in out
 
     def test_broken_derivative_fails(self, capsys, monkeypatch):

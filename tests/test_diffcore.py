@@ -158,6 +158,48 @@ def test_mean_pool_segments_matches_reference_bitwise():
     _assert_same_bits(da, np.repeat(g, 25, axis=1) / 25)
 
 
+def _composed_isda_scores(x, w, b, cov, lam, g):
+    """(z, dx, dw, db) of the composed tape path ``isda_scores`` replaced,
+    transpose(linear_map_1x1(transpose(x), w, b)) + quadratic_penalty(w)
+    minus its diagonal (take_flat) per row (sub_colvec), replayed in order."""
+    m = len(x)
+    xt = np.ascontiguousarray(x.T)
+    y = w @ xt
+    y += b[:, None]
+    half = float(lam) / 2.0
+    v = w[None, :, :] - w[:, None, :]
+    aug = np.ascontiguousarray(y.T) + np.einsum("mjd,mjd->mj", np.matmul(v, cov), v) * half
+    idx = np.arange(m) * (m + 1)
+    z = aug - aug.reshape(-1)[idx][:, None]
+    scatter = np.zeros(m * m)
+    np.add.at(scatter, idx, -g.sum(axis=1))
+    ga = np.array(g)  # the replay copies g to start the sum
+    ga += scatter.reshape(m, m)
+    gv = (ga * half)[:, :, None] * np.matmul(v, cov + cov.transpose(0, 2, 1))
+    dw = np.array(gv.sum(axis=0) - gv.sum(axis=1))
+    gy = ga.T
+    dw += gy @ xt.T
+    return z, (w.T @ gy).T, dw, gy.sum(axis=1)
+
+
+@pytest.mark.parametrize("m", [1, 5, 24])
+@pytest.mark.parametrize("d", [3, 16])
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+def test_isda_scores_matches_composed_reference_bitwise(m, d, lam):
+    rng = np.random.default_rng([m, d, int(lam * 10)])
+    x, w, b = (rng.standard_normal(s) * 3.0 for s in ((m, d), (m, d), (m,)))
+    cov = rng.standard_normal((m, d, d))  # not symmetric
+    g = rng.standard_normal((m, m))
+    g.reshape(-1)[1::3] = -0.0  # signed zeros on and off the diagonal
+    g.reshape(-1)[2::7] = 0.0
+    z, grads = _replay(lambda t, *n: t.isda_scores(*n, cov, lam), [x, w, b], g)
+    want_z, *want_grads = _composed_isda_scores(x, w, b, cov, lam, g)
+    _assert_same_bits(z, want_z)
+    assert np.all(np.diagonal(z) == 0.0)
+    for got, want in zip(grads, want_grads):
+        _assert_same_bits(got, want)
+
+
 @pytest.mark.parametrize("name, fn, make_inputs", diffcore.KERNEL_CHECKS,
                          ids=[entry[0] for entry in diffcore.KERNEL_CHECKS])
 def test_kernel_writes_only_its_own_arrays(name, fn, make_inputs):
@@ -269,6 +311,20 @@ def test_quadratic_penalty_rejects_mismatched_cov():
     for shape in ((3, 2), (2, 2, 2), (3, 3, 3), (3, 2, 3)):
         with pytest.raises(ShapeError):
             tape.quadratic_penalty(w, np.zeros(shape), 1.0)
+
+
+def test_isda_scores_rejects_mismatched_shapes():
+    tape = Tape()
+    x, w, b = np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3)
+    cov = np.zeros((3, 2, 2))
+    bad = [(np.zeros(6), w, b, cov), (x, np.zeros((2, 2)), b, cov),
+           (x, np.zeros((3, 3)), b, cov), (x, w, np.zeros(2), cov),
+           (x, w, np.zeros((3, 1)), cov)]
+    bad += [(x, w, b, np.zeros(shape)) for shape in ((3, 2), (2, 2, 2), (3, 3, 3), (3, 2, 3))]
+    for xs, ws, bs, c in bad:
+        with pytest.raises(ShapeError):
+            tape.isda_scores(tape.constant(xs), tape.constant(ws), tape.constant(bs), c, 1.0)
+    assert tape._entries == []
 
 
 def test_block_correlation_rejects_bad_shapes():

@@ -215,7 +215,7 @@ class TestSGD:
 # tape entries of one stage-1 step at the default vector protocol (P = 1);
 # stage 2 records decode and the cross-entropy
 STAGE1_ENTRIES = {"baseline": 7, "latent": 14, "latent_recon": 14,
-                  "latent_aug": 24, "full": 24, "raw_isda": 10}
+                  "latent_aug": 18, "full": 18, "raw_isda": 10}
 STAGE2_ENTRIES = 3
 
 
