@@ -1,13 +1,15 @@
 """Small deterministic reverse-mode differentiation core.
 
-Values are dense float64 arrays wrapped in :class:`Tensor`. All computation
-goes through :class:`Tape`, which records each forward call in order and
-replays the sequence backward, once, to accumulate gradients. The replay
-consumes the record, so a finished step holds no activations. There is no
-operator overloading and no graph structure beyond the recorded list: every
-kernel pairs a numpy forward with an analytic backward rule, and
-:func:`grad_check` verifies any composition against central finite
-differences.
+Values are dense float64 arrays wrapped in :class:`Tensor`, each with an
+integer key that is never reused. All computation goes through
+:class:`Tape`, which records each forward call in order, by key, and
+replays the sequence backward, once, to accumulate gradients. The record
+holds no array: each backward rule captures only the arrays it reads, and
+the replay consumes the record, so a finished step holds no activations.
+There is no operator overloading and no graph structure beyond the
+recorded list: every kernel pairs a numpy forward with an analytic
+backward rule, and :func:`grad_check` verifies any composition against
+central finite differences.
 
 Kernels are pure (no hidden state) and deterministic: identical inputs give
 bit-identical outputs. Gradients accumulate additively across uses of a
@@ -16,6 +18,7 @@ parameter; callers zero them explicitly between steps.
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass
 
@@ -26,16 +29,23 @@ class ShapeError(ValueError):
     """An operation received tensors with incompatible or invalid shapes."""
 
 
-class Tensor:
-    """Dense n-dimensional float64 array; the single value type of the core."""
+# one key per Tensor ever made in the process, so a key is never reused
+_next_key = itertools.count().__next__
 
-    __slots__ = ("data",)
+
+class Tensor:
+    """Dense n-dimensional float64 array; the single value type of the core.
+
+    ``key`` names the tensor on a tape's record and among its gradients."""
+
+    __slots__ = ("data", "key")
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
+        self.key = _next_key()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -109,18 +119,21 @@ def _pair_penalty(w: np.ndarray, cov: np.ndarray, half: float):
 class Tape:
     """Recorded computation sequence; replaying it in reverse yields gradients.
 
-    Each op appends (output, inputs, backward_fn) to the record. ``backward``
-    seeds the output with a cotangent (1.0 for a scalar loss), walks the
-    record in reverse, and sums every contribution a value receives from
-    its consumers. Gradients of parameters used via :meth:`use` are flushed
+    Each op appends (output key, input keys, backward_fn) to the record, so
+    the record pins no array: a backward rule's closure captures exactly
+    the arrays that rule reads, and an input or output no rule reads is
+    freed as soon as the caller drops it. ``backward`` seeds the output
+    with a cotangent (1.0 for a scalar loss), walks the record in reverse,
+    and sums every contribution a value receives from its consumers, by
+    key. Gradients of parameters used via :meth:`use` are flushed
     additively into ``Parameter.grad`` at the end of the replay.
 
     The replay consumes the record: it pops one entry at a time and drops
     each node's gradient once that node's entry is replayed, so an entry's
-    closure and inputs are freed as soon as nothing else holds them.
-    Afterwards the tape holds only the gradients of leaves (constants and
-    :meth:`use` views) and of the seeded output, which :meth:`grad` returns.
-    A second ``backward`` on the same tape raises ``RuntimeError``.
+    closure, and the arrays only it holds, are freed as it goes. Afterwards
+    the tape holds only the gradients of leaves (constants and :meth:`use`
+    views) and of the seeded output, by key, which :meth:`grad` returns. A
+    second ``backward`` on the same tape raises ``RuntimeError``.
 
     The replay keeps a value's first contribution as returned, without a
     copy, and allocates only to start a sum (or copies to make a strided
@@ -138,9 +151,9 @@ class Tape:
 
     def __init__(self):
         # None once backward has consumed it
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], object]] | None = []
+        self._entries: list[tuple[int, list[int], object]] | None = []
         self._param_nodes: dict[int, tuple[Parameter, Tensor]] = {}
-        self._grads: dict[int, tuple[Tensor, np.ndarray]] = {}
+        self._grads: dict[int, np.ndarray] = {}  # key -> gradient
 
     # -- leaves ---------------------------------------------------------
 
@@ -159,7 +172,7 @@ class Tape:
     # -- recording ------------------------------------------------------
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], bwd) -> Tensor:
-        self._entries.append((out, inputs, bwd))
+        self._entries.append((out.key, [i.key for i in inputs], bwd))
         return out
 
     # -- kernels --------------------------------------------------------
@@ -167,10 +180,11 @@ class Tape:
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-        out = Tensor(a.data @ b.data)
+        ad, bd = a.data, b.data
+        out = Tensor(ad @ bd)
 
         def bwd(g):
-            return g @ b.data.T, a.data.T @ g
+            return g @ bd.T, ad.T @ g
 
         return self._record(out, (a, b), bwd)
 
@@ -208,15 +222,16 @@ class Tape:
         out = Tensor(y)
 
         def bwd(g):
-            return (g * _sigmoid_grad(out.data),)
+            return (g * _sigmoid_grad(y),)
 
         return self._record(out, (a,), bwd)
 
     def tanh(self, a: Tensor) -> Tensor:
-        out = Tensor(np.tanh(a.data))
+        y = np.tanh(a.data)
+        out = Tensor(y)
 
         def bwd(g):
-            return (g * _tanh_grad(out.data),)
+            return (g * _tanh_grad(y),)
 
         return self._record(out, (a,), bwd)
 
@@ -227,10 +242,9 @@ class Tape:
         out = Tensor(y)
 
         def bwd(g):
-            s = out.data
-            # d keeps g's memory order, as s * (g - ...) does
-            d = g - (g * s).sum(axis=axis, keepdims=True)
-            d *= s
+            # d keeps g's memory order, as y * (g - ...) does
+            d = g - (g * y).sum(axis=axis, keepdims=True)
+            d *= y
             return (d,)
 
         return self._record(out, (a,), bwd)
@@ -276,26 +290,28 @@ class Tape:
             raise ShapeError(
                 f"linear_map_1x1: shapes w{w.shape} x{x.shape} b{b.shape} do not chain"
             )
-        y = w.data @ x.data
+        xd, wd = x.data, w.data
+        y = wd @ xd
         y += b.data[:, None]
         out = Tensor(y)
 
         def bwd(g):
-            return w.data.T @ g, g @ x.data.T, g.sum(axis=1)
+            return wd.T @ g, g @ xd.T, g.sum(axis=1)
 
         return self._record(out, (x, w, b), bwd)
 
     def take_flat(self, a: Tensor, idx: np.ndarray) -> Tensor:
         """Gather from the flattened input; backward scatter-adds."""
         flat = a.data.reshape(-1)
-        if idx.size and (idx.min() < 0 or idx.max() >= flat.size):
+        size, shape = flat.size, a.shape
+        if idx.size and (idx.min() < 0 or idx.max() >= size):
             raise ValueError("take_flat: flat index out of range")
         out = Tensor(flat[idx])
 
         def bwd(g):
-            buf = np.zeros(flat.size)
+            buf = np.zeros(size)
             np.add.at(buf, idx.reshape(-1), g.reshape(-1))
-            return (buf.reshape(a.data.shape),)
+            return (buf.reshape(shape),)
 
         return self._record(out, (a,), bwd)
 
@@ -339,11 +355,12 @@ class Tape:
         m, d = x.shape
         if cov.shape != (m, d, d):
             raise ShapeError(f"isda_scores: latents {x.shape} with cov {cov.shape}")
+        wd = w.data
         xt = np.ascontiguousarray(x.data.T)
-        y = w.data @ xt
+        y = wd @ xt
         y += b.data[:, None]
         z = np.ascontiguousarray(y.T)
-        q, q_grad = _pair_penalty(w.data, cov, float(lam) / 2.0)
+        q, q_grad = _pair_penalty(wd, cov, float(lam) / 2.0)
         z += q
         z -= z.diagonal().copy()[:, None]
         out = Tensor(z)
@@ -357,7 +374,7 @@ class Tape:
             gy = ga.T
             dw = q_grad(ga)
             dw += gy @ xt.T
-            return (w.data.T @ gy).T, dw, gy.sum(axis=1)
+            return (wd.T @ gy).T, dw, gy.sum(axis=1)
 
         return self._record(out, (x, w, b), bwd)
 
@@ -379,12 +396,18 @@ class Tape:
         b3 = b.data.reshape(d, blocks, width).transpose(1, 0, 2)
         out = Tensor(np.matmul(a3.transpose(0, 2, 1), b3).reshape(total, width))
 
+        # Each block's gradient is written straight into its columns. Width
+        # 1 keeps the layout a [K, D, 1] product reshapes to, F-ordered for
+        # more than one block: memory order picks later BLAS paths.
+        order = "F" if width == 1 and blocks > 1 else "C"
+
         def bwd(g):
             g3 = g.reshape(blocks, width, width)
-            da = np.matmul(b3, g3.transpose(0, 2, 1))
-            db = np.matmul(a3, g3)
-            return (da.transpose(1, 0, 2).reshape(d, total),
-                    db.transpose(1, 0, 2).reshape(d, total))
+            da, db = np.empty((d, total), order=order), np.empty((d, total), order=order)
+            np.matmul(b3, g3.transpose(0, 2, 1),
+                      out=da.reshape(d, blocks, width).transpose(1, 0, 2))
+            np.matmul(a3, g3, out=db.reshape(d, blocks, width).transpose(1, 0, 2))
+            return da, db
 
         return self._record(out, (a, b), bwd)
 
@@ -415,9 +438,9 @@ class Tape:
         out = Tensor(y)
 
         def bwd(g):
-            d = np.repeat(g, seg_len, axis=1)
-            d /= seg_len
-            return (d,)
+            # what np.repeat(g, seg_len, axis=1) / seg_len gives, in one pass
+            d = np.divide(g[:, :, None], seg_len, out=np.empty((c, total // seg_len, seg_len)))
+            return (d.reshape(c, total),)
 
         return self._record(out, (a,), bwd)
 
@@ -439,63 +462,57 @@ class Tape:
                 raise ShapeError(
                     f"backward: cotangent shape {seed.shape}, output shape {out.shape}")
         entries, self._entries = self._entries, None
-        # node id -> (node, gradient): a gradient is kept next to its node, so
-        # a leaf stays alive and a recycled id never answers for another node
-        grads: dict[int, tuple[Tensor, np.ndarray]] = {id(out): (out, seed)}
-        owned: set[int] = set()  # nodes whose gradient is a private sum buffer
+        grads: dict[int, np.ndarray] = {out.key: seed}  # key -> gradient
+        owned: set[int] = set()  # keys whose gradient is a private sum buffer
         next_entry, pop, get = entries.pop, grads.pop, grads.get
         while entries:
-            node, inputs, bwd = next_entry()
-            hit = pop(id(node), None)
-            if hit is None:
+            key, inputs, bwd = next_entry()
+            g = pop(key, None)
+            if g is None:
                 continue
-            for inp, contrib in zip(inputs, bwd(hit[1])):
-                key = id(inp)
-                prev = get(key)
+            for k, contrib in zip(inputs, bwd(g)):
+                prev = get(k)
                 if prev is None:
                     if not (contrib.flags.c_contiguous or contrib.flags.f_contiguous):
                         contrib = np.array(contrib)
-                    grads[key] = (inp, contrib)
-                elif key in owned:
-                    g = prev[1]
-                    g += contrib
+                    grads[k] = contrib
+                elif k in owned:
+                    prev += contrib
                 else:
                     # the sum's buffer takes the first contribution's order
-                    g = prev[1]
-                    grads[key] = (inp, np.add(g, contrib, out=np.empty_like(g)))
-                    owned.add(key)
+                    grads[k] = np.add(prev, contrib, out=np.empty_like(prev))
+                    owned.add(k)
         # what is left are the leaves' gradients; the seed is kept too
-        grads[id(out)] = (out, seed)
+        grads[out.key] = seed
         self._grads = grads
         for param, node in self._param_nodes.values():
-            hit = grads.get(id(node))
-            if hit is not None:
-                param.grad.data += hit[1]
+            g = get(node.key)
+            if g is not None:
+                param.grad.data += g
 
     def grad(self, node: Tensor) -> np.ndarray:
         """Gradient of the replayed output with respect to ``node``, a leaf
         (a constant or a :meth:`use` view) or that output itself; zeros for
         any other node, whose gradient the replay has dropped."""
-        hit = self._grads.get(id(node))
-        if hit is None or hit[0] is not node:
-            return np.zeros_like(node.data)
-        return hit[1]
+        g = self._grads.get(node.key)
+        return np.zeros_like(node.data) if g is None else g
 
 
 class ForwardTape(Tape):
     """A tape that runs the kernels without recording them, for forward
     passes that need no gradient (scoring, finite differences).
 
-    A recording tape keeps every intermediate alive until ``backward``
-    replays its entry; here each intermediate is freed as soon as nothing
-    else holds it. Values are bit-identical to a recording tape's. Freeing early does
-    not bound a pass's working set: that is the width of the chunk scored
-    (``trainer.EVAL_COLUMNS`` position columns), and each forward kernel
-    allocates its output and at most one float temporary of that width. A
-    chunk too wide for the allocator's trim threshold has its pages handed
-    back to the system at the end of every pass and faulted in again by the
-    next: at P = 25 a process that has freed no block of a few MB faults
-    ~11,700 pages per 3,000-map pass of 2,025-column chunks.
+    A recording tape keeps the arrays its backward rules read alive until
+    ``backward`` replays their entries; here each intermediate is freed as
+    soon as nothing else holds it. Values are bit-identical to a recording
+    tape's. Freeing early does not bound a pass's working set: that is the
+    width of the chunk scored (``trainer.EVAL_COLUMNS`` position columns),
+    and each forward kernel allocates its output and at most one float
+    temporary of that width. A chunk too wide for the allocator's trim
+    threshold has its pages handed back to the system at the end of every
+    pass and faulted in again by the next: at P = 25 a process that has
+    freed no block of a few MB faults ~11,700 pages per 3,000-map pass of
+    2,025-column chunks.
     """
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], bwd) -> Tensor:

@@ -14,7 +14,9 @@ None of this reads labels; the pool is shared by all classes.
 Columns may stack several samples' position blocks side by side
 ([D, B*P] with equal P); every op here is positionwise except the
 correlation, which one batched kernel builds for all samples at once and
-stacks as [B*P, P].
+stacks as [B*P, P], and the decoder's fusion, which pools the features and
+the similarity maps per sample before it concatenates them, so no
+[D + M, B*P] map exists.
 """
 
 from __future__ import annotations
@@ -105,9 +107,15 @@ def reconstruction_loss(tape: Tape, recon: Reconstruction) -> Tensor:
     return tape.cross_entropy(recon.corr, np.tile(np.arange(p), rows // p))
 
 
-def fuse_for_decoder(tape: Tape, f: Tensor, sims: SimilarityStack) -> Tensor:
-    """Channel-concatenate features with normalized similarity maps."""
+def fuse_for_decoder(tape: Tape, f: Tensor, sims: SimilarityStack,
+                     positions: int) -> Tensor:
+    """Per-sample mean of features and normalized similarity maps over each
+    block of ``positions`` columns, channel-concatenated: [D + M, B].
+
+    Each row is the mean a concatenate-then-pool would take over the same
+    columns, bit for bit; at ``positions`` 1 both pools are the identity."""
     if f.shape[1] != sims.normalized.shape[1]:
         raise ShapeError("fuse_for_decoder: position count mismatch")
-    return tape.concat_rows(f, sims.normalized)
+    return tape.concat_rows(tape.mean_pool_segments(f, positions),
+                            tape.mean_pool_segments(sims.normalized, positions))
 

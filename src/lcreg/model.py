@@ -6,9 +6,10 @@ the positions, which for image data first gathers each 3x3 stride-2 patch
 into one column (a conv), and a final 1x1 map gives the D channels. A
 vector sample is one position of ``dim`` channels, so its encoder is the
 same stack at P = 1, an MLP. The latent pool scores every position against
-M shared latent vectors; the normalized similarity channels are concatenated
-onto the features, globally average-pooled per sample, and classified by a
-linear decoder. Batches are carried as stacked position columns [D, B*P].
+M shared latent vectors; the features and the normalized similarity
+channels are each globally average-pooled per sample, concatenated, and
+classified by a linear decoder. Batches are carried as stacked position
+columns [D, B*P].
 
 The training objective of every variant (``objective``) combines three terms:
     total = gamma * cls + alpha * reconstruction + beta * latent augmentation
@@ -285,10 +286,9 @@ def forward(tape: Tape, params: ModelParams, x_batch: np.ndarray,
         sims = similarity_maps(tape, params.pool, f)
         if with_recon_corr and p > 1:
             recon = reconstruct(tape, sims, f, positions_per_sample=p)
-        fused = fuse_for_decoder(tape, f, sims)
+        pooled = fuse_for_decoder(tape, f, sims, p)
     else:
-        fused = f
-    pooled = tape.mean_pool_segments(fused, p)
+        pooled = tape.mean_pool_segments(f, p)
     return ForwardOut(logits=decode(tape, params, pooled), features=f, pooled=pooled,
                       positions=p, sims=sims, recon=recon)
 

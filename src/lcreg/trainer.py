@@ -344,6 +344,7 @@ def run_training(cfg: TrainConfig, task: TaskSpec,
             stats = update_stats(stats, fwd.pooled.data.T, yb)
         breakdown, loss = objective(tape, params, fwd, yb, stats,
                                     schedule.lambda_at(t + 1), weights, cfg.aug_on)
+        del fwd  # the replay frees each map as its entry replays
         opt.zero_grad()
         tape.backward(loss)
         opt.step()

@@ -448,12 +448,60 @@ def test_replay_frees_intermediates_and_keeps_leaves_and_seed():
     cot = rng.standard_normal(out.shape)
     tape.backward(out, cot)
     assert hidden() is None  # the tanh output died with its entry
-    # a leaf stays alive next to its gradient, so its id is never reused
-    assert weights() is not None
+    # the record holds keys: a dropped leaf is freed, and a held one reads
+    # its exact gradient
+    assert weights() is None and np.array_equal(
+        tape.grad(a), (w.T @ cot) * (1.0 - np.tanh(x) * np.tanh(x)))
     expect = (w.T @ cot) * (1.0 - np.tanh(x) ** 2)
     assert np.allclose(tape.grad(a), expect, atol=1e-12)
     assert np.array_equal(tape.grad(out), cot)
     assert np.array_equal(tape.grad(Tensor(np.ones(3))), np.zeros(3))
+
+
+def test_a_recycled_id_reads_no_gradient():
+    # a key is never reused, so a tensor made after the replay at a dropped
+    # leaf's address does not read that leaf's gradient
+    tape = Tape()
+    leaf = tape.constant(np.full((2, 2), 3.0))
+    out = tape.matmul(leaf, leaf)
+    dead, key = id(leaf), leaf.key
+    del leaf
+    tape.backward(out, np.ones((2, 2)))
+    assert np.any(tape._grads[key] != 0.0)  # the leaf's gradient, kept by key
+    made = []
+    for _ in range(10_000):
+        made.append(Tensor(np.ones((2, 2))))
+        if id(made[-1]) == dead:
+            break
+    else:
+        pytest.skip("no new tensor took the dropped leaf's address")
+    assert np.array_equal(tape.grad(made[-1]), np.zeros((2, 2)))
+
+
+def _old_block_correlation(a, b, width, g):
+    """(out, da, db) of ``block_correlation`` through [K, D, width] products
+    copied back to [D, K*width], as the kernel used to replay."""
+    d, total = a.shape
+    blocks = total // width
+    a3 = a.reshape(d, blocks, width).transpose(1, 0, 2)
+    b3 = b.reshape(d, blocks, width).transpose(1, 0, 2)
+    out = np.matmul(a3.transpose(0, 2, 1), b3).reshape(total, width)
+    g3 = g.reshape(blocks, width, width)
+    da = np.matmul(b3, g3.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(d, total)
+    db = np.matmul(a3, g3).transpose(1, 0, 2).reshape(d, total)
+    return out, da, db
+
+
+@pytest.mark.parametrize("blocks", [1, 7, 64])
+@pytest.mark.parametrize("width", [1, 3, 25])
+def test_block_correlation_matches_reference_bitwise(width, blocks):
+    rng = np.random.default_rng([width, blocks])
+    a, b = rng.standard_normal((2, 16, blocks * width)) * 3.0
+    g = rng.standard_normal((blocks * width, width))
+    a[0, :2], b[1, :2], g[0, 0] = -0.0, 0.0, -0.0  # signed zeros
+    y, (da, db) = _replay(lambda t, *n: t.block_correlation(*n, width), [a, b], g)
+    for got, ref in zip((y, da, db), _old_block_correlation(a, b, width, g)):
+        _assert_same_bits(got, ref)
 
 
 def test_mean_pool_over_one_column_is_identity():
@@ -495,6 +543,40 @@ def test_battery_entry_independent_of_earlier_entries(monkeypatch):
     moved = {r.op: r for r in diffcore.standard_kernel_checks(instances=2, seed=3)}
     assert moved.pop("tanh_extra").passed
     assert moved == base
+
+
+# (battery entry) -> the inputs whose arrays its backward rule reads
+_RULE_READS = {"matmul": {0, 1}, "cross_entropy": {0}, "linear_map_1x1": {0, 1},
+               "isda_scores": {1}, "block_correlation": {0, 1}}
+
+
+def _captured(fn):
+    """Every value a closure holds, through nested closures."""
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        yield value
+        if callable(value) and hasattr(value, "__closure__"):
+            yield from _captured(value)
+
+
+def test_backward_rules_capture_only_the_arrays_they_read():
+    # the record holds keys, so a rule's closure is all that keeps an
+    # input alive until its entry replays
+    rng = np.random.default_rng(9)
+
+    def rand(*shape):
+        return rng.standard_normal(shape)
+
+    for name, fn, make_inputs in diffcore.KERNEL_CHECKS:
+        tape = Tape()
+        nodes = [tape.constant(x) for x in make_inputs(rand)]
+        fn(tape, *nodes)
+        held = list(_captured(tape._entries[-1][2]))
+        assert not any(isinstance(v, Tensor) for v in held), name
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        for i, node in enumerate(nodes):
+            pinned = any(np.shares_memory(v, node.data) for v in arrays)
+            assert pinned == (i in _RULE_READS.get(name, ())), (name, i)
 
 
 def test_grad_check_catches_wrong_backward(monkeypatch):

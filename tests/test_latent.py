@@ -190,10 +190,24 @@ def test_fusion_stacks_channels():
     tape = Tape()
     node = tape.constant(f)
     sims = similarity_maps(tape, pool, node)
-    fused = fuse_for_decoder(tape, node, sims)
+    fused = fuse_for_decoder(tape, node, sims, positions=1)
     assert fused.shape == (7, 6)
     assert np.array_equal(fused.data[:4], f)
     assert np.array_equal(fused.data[4:], sims.normalized.data)
+
+
+def test_fusion_pools_each_sample_then_stacks_channels():
+    rng = np.random.default_rng(16)
+    pool = init_pool(3, 4, seed=17)
+    f = rng.standard_normal((4, 6))  # two samples of three positions
+    tape = Tape()
+    node = tape.constant(f)
+    sims = similarity_maps(tape, pool, node)
+    fused = fuse_for_decoder(tape, node, sims, positions=3)
+    assert fused.shape == (7, 2)
+    assert np.array_equal(fused.data[:4], f.reshape(4, 2, 3).mean(axis=2))
+    assert np.array_equal(fused.data[4:], sims.normalized.data.reshape(3, 2, 3).mean(axis=2))
+    assert np.allclose(fused.data[4:].sum(axis=0), 1.0, atol=1e-15)
 
 
 def test_single_latent_pool_degenerates_to_ones():
